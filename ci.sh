@@ -14,6 +14,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== supervisor: threaded stress + simulator identity =="
+# Optimised builds make the threaded races tighter. The event-indexed
+# pending set and the sleeper-aware wake-ups must lose no task and no
+# wake-up: every-order prereq release, the wedge diagnosis over the
+# index, and a seeded signal/wait ping-pong on 2 and 4 workers under a
+# timeout (the seed is printed on failure). The block-granular token
+# queue keeps its protocol tests. Per-worker charge buffers must lose no
+# charge: totals agree across threads(1), threads(2) and sim(8), also
+# with recovered faults. sim(1)/sim(8) virtual time and task counts of
+# three suite modules stay pinned.
+cargo test -q --release -p ccm2-sched --lib threaded::index_tests
+cargo test -q --release -p ccm2 --lib queue
+cargo test -q --release --test supervisor
+
 echo "== incremental cache: warm/cold equivalence =="
 cargo test -q --test incremental
 cargo test -q --test properties warm_cache_compiles_are_invisible

@@ -16,6 +16,12 @@
 //!   began, and Lexor tasks never block.
 //! * The ready "queue" is a single ordered structure searched in the
 //!   §2.3.4 kind order, with long code-generation tasks before short ones.
+//!
+//! Coordination cost is kept proportional to the work it coordinates: a
+//! pending task is filed under its first unsignaled prereq, so a signal
+//! touches only that event's waiters; the condvar is notified only when
+//! some thread sleeps on it; and work charges accumulate per worker and
+//! reach the shared counters once per task.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -50,7 +56,11 @@ struct ReadyTask {
     body: crate::task::TaskBody,
 }
 
+/// A task waiting for its avoided events. It is filed under the first
+/// of its prereqs that has not occurred yet and moves on to the next one
+/// when that event is signaled.
 struct PendingTask {
+    /// The prereqs unsignaled when the task was spawned.
     prereqs: Vec<EventId>,
     key: PrioKey,
     task: ReadyTask,
@@ -60,6 +70,8 @@ struct EventState {
     class: EventClass,
     signaled: bool,
     name: String,
+    /// Pending tasks filed under this event.
+    waiters: Vec<PendingTask>,
 }
 
 /// One task suspended inside `wait()`: what it awaits (plus the
@@ -74,11 +86,15 @@ struct WaitFrame {
 
 struct SupState {
     ready: BTreeMap<PrioKey, ReadyTask>,
-    pending: Vec<PendingTask>,
+    /// Number of pending tasks (filed under their events' `waiters`).
+    pending: usize,
     events: Vec<EventState>,
     seq: u64,
     outstanding: usize,
     parked: usize,
+    /// Threads asleep on the condvar: workers (idle or blocked) and
+    /// external waiters. Wake-ups are skipped while it is zero.
+    sleepers: usize,
     done: bool,
     deadlocked: bool,
     /// worker index -> awaited event for workers currently parked inside
@@ -113,8 +129,8 @@ pub struct ThreadedSupervisor {
 }
 
 thread_local! {
-    /// Per-worker context: index and the stack of suspended tasks'
-    /// signal sets (for the eligibility rule).
+    /// Per-worker context: index, the stack of suspended tasks' signal
+    /// sets (for the eligibility rule) and the buffered work charges.
     static WORKER: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
 }
 
@@ -124,6 +140,11 @@ struct WorkerCtx {
     /// on this worker's stack (bottom to top, including the currently
     /// running one).
     stack: Vec<(String, Vec<EventId>, bool, bool)>,
+    /// The supervisor this thread works for (see `charge_owner`): a
+    /// charge made here through another supervisor is not buffered.
+    owner: usize,
+    /// Work charged since the last flush into the shared counters.
+    charges: [u64; Work::COUNT],
 }
 
 impl ThreadedSupervisor {
@@ -131,11 +152,12 @@ impl ThreadedSupervisor {
         ThreadedSupervisor {
             state: Mutex::new(SupState {
                 ready: BTreeMap::new(),
-                pending: Vec::new(),
+                pending: 0,
                 events: Vec::new(),
                 seq: 0,
                 outstanding: 0,
                 parked: 0,
+                sleepers: 0,
                 done: false,
                 deadlocked: false,
                 blocked: std::collections::HashMap::new(),
@@ -160,11 +182,42 @@ impl ThreadedSupervisor {
         self.start.elapsed().as_micros() as u64
     }
 
+    /// Identity of this supervisor in [`WorkerCtx::owner`].
+    fn charge_owner(&self) -> usize {
+        self as *const ThreadedSupervisor as usize
+    }
+
+    /// Adds this worker's buffered charges to the shared counters.
+    fn flush_charges(&self) {
+        WORKER.with(|w| {
+            let mut b = w.borrow_mut();
+            let ctx = b.as_mut().expect("worker ctx");
+            for (shared, units) in self.charges.iter().zip(ctx.charges.iter_mut()) {
+                if *units > 0 {
+                    shared.fetch_add(std::mem::take(units), Ordering::Relaxed);
+                }
+            }
+        });
+    }
+
+    /// Notifies the condvar if any thread sleeps on it. Callers have just
+    /// changed `st` under the lock, so a thread that starts sleeping after
+    /// this check has already seen the change.
+    fn wake(&self, st: parking_lot::MutexGuard<'_, SupState>) {
+        let sleeping = st.sleepers > 0;
+        drop(st);
+        if sleeping {
+            self.cv.notify_all();
+        }
+    }
+
     fn worker_loop(self: &Arc<Self>, index: u32) {
         WORKER.with(|w| {
             *w.borrow_mut() = Some(WorkerCtx {
                 index,
                 stack: Vec::new(),
+                owner: self.charge_owner(),
+                charges: [0; Work::COUNT],
             })
         });
         loop {
@@ -177,7 +230,7 @@ impl ThreadedSupervisor {
                     if let Some((&key, _)) = st.ready.iter().next() {
                         break st.ready.remove(&key).expect("just seen");
                     }
-                    if st.outstanding == 0 && st.pending.is_empty() {
+                    if st.outstanding == 0 && st.pending == 0 {
                         st.done = true;
                         self.cv.notify_all();
                         return;
@@ -212,15 +265,11 @@ impl ThreadedSupervisor {
     }
 
     fn run_task(self: &Arc<Self>, task: ReadyTask) {
-        let (name, kind) = (task.name.clone(), task.kind);
-        let signals = task.signals.clone();
-        let sds = task.signals_def_scope;
-        let sbar = task.signals_barriers;
         let inject = self
             .robustness
             .plan
             .as_ref()
-            .and_then(|p| p.at(&crate::dispatch_site(&name, task.attempt)));
+            .and_then(|p| p.at(&crate::dispatch_site(&task.name, task.attempt)));
         // Supervised retry: a dispatch about to hit a fatal fault (panic,
         // or a stall that would blow the wall-clock deadline — stall
         // units are ms, deadlines us) on a per-stream task is abandoned
@@ -236,7 +285,7 @@ impl ThreadedSupervisor {
         };
         if fatal
             && self.robustness.recover
-            && kind.stream_retryable()
+            && task.kind.stream_retryable()
             && task.attempt < task.retry_budget.unwrap_or(self.robustness.max_retries)
         {
             let mut task = task;
@@ -254,76 +303,78 @@ impl ThreadedSupervisor {
                 task.retry_budget.unwrap_or(self.robustness.max_retries),
             );
             st.ready.insert(key, task);
-            drop(st);
-            self.cv.notify_all();
+            self.wake(st);
             return;
         }
-        let attempt = task.attempt;
-        WORKER.with(|w| {
-            if let Some(ctx) = w.borrow_mut().as_mut() {
-                ctx.stack.push((name.clone(), signals.clone(), sds, sbar));
-            }
-        });
+        let ReadyTask {
+            name,
+            kind,
+            signals,
+            signals_def_scope,
+            signals_barriers,
+            attempt,
+            body,
+            ..
+        } = task;
+        let injected_panic = matches!(inject, Some(FaultKind::Panic))
+            .then(|| format!("injected fault: task `{name}` panicked"));
         let started = Instant::now();
         if self.robustness.deadline.is_some() {
             self.state.lock().running.insert(name.clone(), started);
         }
+        // The name and signal set live on the worker stack while the body
+        // runs and come back when it is popped.
+        WORKER.with(|w| {
+            if let Some(ctx) = w.borrow_mut().as_mut() {
+                ctx.stack
+                    .push((name, signals, signals_def_scope, signals_barriers));
+            }
+        });
         if let Some(FaultKind::Stall { units }) = inject {
             std::thread::sleep(std::time::Duration::from_millis(units));
         }
         let seg_start = self.now();
         let caught: Option<String> = if self.robustness.recover {
-            let body = task.body;
-            let task_name = name.clone();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                if matches!(inject, Some(FaultKind::Panic)) {
-                    panic!("injected fault: task `{task_name}` panicked");
+                if let Some(msg) = injected_panic {
+                    panic!("{msg}");
                 }
                 body();
             }))
             .err()
             .map(|p| payload_message(p.as_ref()))
         } else {
-            if matches!(inject, Some(FaultKind::Panic)) {
-                panic!("injected fault: task `{name}` panicked");
+            if let Some(msg) = injected_panic {
+                panic!("{msg}");
             }
-            (task.body)();
+            body();
             None
         };
         let seg_end = self.now();
-        let proc = WORKER.with(|w| {
+        let (proc, (name, signals, ..)) = WORKER.with(|w| {
             let mut b = w.borrow_mut();
             let ctx = b.as_mut().expect("worker ctx");
-            ctx.stack.pop();
-            ctx.index
+            (ctx.index, ctx.stack.pop().expect("task on worker stack"))
         });
-        self.trace.lock().segments.push(Segment {
-            proc,
-            kind,
-            name: name.clone(),
-            start: seg_start,
-            end: seg_end,
-        });
+        self.flush_charges();
         self.tasks_run.fetch_add(1, Ordering::Relaxed);
         // Backstop: auto-signal the task's declared signals so a forgotten
         // explicit signal cannot deadlock the run. Panicked tasks reach
         // this too — that is what keeps their dependents and the merge
         // runnable in degraded mode.
         let mut st = self.state.lock();
-        if self.robustness.deadline.is_some() {
+        if let Some(deadline) = self.robustness.deadline {
             st.running.remove(&name);
-            if let Some(deadline) = self.robustness.deadline {
-                let elapsed = started.elapsed().as_micros() as u64;
-                if elapsed > deadline {
-                    Self::record_stall(
-                        &mut st,
-                        format!("deadline:{name}"),
-                        format!(
-                            "task `{name}` exceeded the {deadline}us deadline \
-                             ({elapsed}us elapsed)"
-                        ),
-                    );
-                }
+            let elapsed = started.elapsed().as_micros() as u64;
+            if elapsed > deadline {
+                Self::record_stall(
+                    &mut st,
+                    format!("deadline:{name}"),
+                    format!(
+                        "task `{name}` exceeded the {deadline}us deadline \
+                         ({elapsed}us elapsed)"
+                    ),
+                );
             }
         }
         if let Some(msg) = caught {
@@ -337,28 +388,46 @@ impl ThreadedSupervisor {
             }
         }
         st.outstanding -= 1;
-        if st.outstanding == 0 && st.ready.is_empty() && st.pending.is_empty() {
+        if st.outstanding == 0 && st.ready.is_empty() && st.pending == 0 {
             st.done = true;
         }
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
+        self.trace.lock().segments.push(Segment {
+            proc,
+            kind,
+            name,
+            start: seg_start,
+            end: seg_end,
+        });
     }
 
+    /// Marks `event` signaled and moves on the pending tasks filed under
+    /// it: each is re-filed under its next unsignaled prereq, or becomes
+    /// ready when none is left.
     fn signal_locked(st: &mut SupState, event: EventId) {
-        st.events[event.index()].signaled = true;
-        let mut moved = Vec::new();
-        let mut keep = Vec::new();
-        for p in std::mem::take(&mut st.pending) {
-            if p.prereqs.iter().all(|e| st.events[e.index()].signaled) {
-                moved.push(p);
-            } else {
-                keep.push(p);
+        let ev = &mut st.events[event.index()];
+        ev.signaled = true;
+        for p in std::mem::take(&mut ev.waiters) {
+            let next = p
+                .prereqs
+                .iter()
+                .copied()
+                .find(|e| !st.events[e.index()].signaled);
+            match next {
+                Some(e) => st.events[e.index()].waiters.push(p),
+                None => {
+                    st.pending -= 1;
+                    st.ready.insert(p.key, p.task);
+                }
             }
         }
-        st.pending = keep;
-        for p in moved {
-            st.ready.insert(p.key, p.task);
-        }
+    }
+
+    /// Every pending task, in spawn order.
+    fn pending_tasks(st: &SupState) -> Vec<&PendingTask> {
+        let mut all: Vec<&PendingTask> = st.events.iter().flat_map(|e| &e.waiters).collect();
+        all.sort_by_key(|p| p.key.2);
+        all
     }
 
     /// Whether the fault plan drops every signal of this event
@@ -392,7 +461,7 @@ impl ThreadedSupervisor {
                 events.push(f.awaited);
             }
         }
-        for p in &st.pending {
+        for p in Self::pending_tasks(st) {
             events.extend_from_slice(&p.prereqs);
         }
         events.sort_by_key(|e| e.index());
@@ -422,7 +491,9 @@ impl ThreadedSupervisor {
         match self.robustness.deadline {
             Some(deadline) if self.robustness.recover => {
                 let timeout = std::time::Duration::from_micros((deadline / 2).max(5_000));
+                st.sleepers += 1;
                 let _ = self.cv.wait_for(st, timeout);
+                st.sleepers -= 1;
                 let overdue: Vec<(String, u64)> = st
                     .running
                     .iter()
@@ -442,7 +513,11 @@ impl ThreadedSupervisor {
                     );
                 }
             }
-            _ => self.cv.wait(st),
+            _ => {
+                st.sleepers += 1;
+                self.cv.wait(st);
+                st.sleepers -= 1;
+            }
         }
     }
 
@@ -478,7 +553,7 @@ impl ThreadedSupervisor {
                 }
             }
         }
-        for p in &st.pending {
+        for p in Self::pending_tasks(st) {
             g.add_waiter(p.task.name.clone(), p.prereqs.clone());
             for &e in &p.task.signals {
                 g.add_signaler(e, p.task.name.clone());
@@ -564,6 +639,7 @@ impl ExecEnv for ThreadedSupervisor {
             class,
             signaled: false,
             name: name.to_string(),
+            waiters: Vec::new(),
         });
         id
     }
@@ -578,9 +654,8 @@ impl ExecEnv for ThreadedSupervisor {
         }
         if !st.events[event.index()].signaled {
             Self::signal_locked(&mut st, event);
+            self.wake(st);
         }
-        drop(st);
-        self.cv.notify_all();
     }
 
     fn is_signaled(&self, event: EventId) -> bool {
@@ -601,7 +676,9 @@ impl ExecEnv for ThreadedSupervisor {
             // thread, §2.3.2): plain blocking wait.
             let mut st = self.state.lock();
             while !st.events[event.index()].signaled && !st.deadlocked {
+                st.sleepers += 1;
                 self.cv.wait(&mut st);
+                st.sleepers -= 1;
             }
             return;
         }
@@ -706,21 +783,33 @@ impl ExecEnv for ThreadedSupervisor {
             .copied()
             .filter(|e| !st.events[e.index()].signaled)
             .collect();
-        if unsatisfied.is_empty() {
-            st.ready.insert(key, ready);
-        } else {
-            st.pending.push(PendingTask {
-                prereqs: unsatisfied,
-                key,
-                task: ready,
-            });
+        match unsatisfied.first() {
+            None => {
+                st.ready.insert(key, ready);
+            }
+            Some(first) => {
+                st.pending += 1;
+                st.events[first.index()].waiters.push(PendingTask {
+                    prereqs: unsatisfied,
+                    key,
+                    task: ready,
+                });
+            }
         }
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     fn charge(&self, work: Work, units: u64) {
-        self.charges[work as usize].fetch_add(units, Ordering::Relaxed);
+        let buffered = WORKER.with(|w| match w.borrow_mut().as_mut() {
+            Some(ctx) if ctx.owner == self.charge_owner() => {
+                ctx.charges[work as usize] += units;
+                true
+            }
+            _ => false,
+        });
+        if !buffered {
+            self.charges[work as usize].fetch_add(units, Ordering::Relaxed);
+        }
     }
 
     fn virtual_now(&self) -> u64 {
@@ -773,6 +862,7 @@ pub fn run_threaded_with(
                 .spawn(move || {
                     ARC_SELF.with(|a| *a.borrow_mut() = Some(Arc::clone(&sup)));
                     sup.worker_loop(ix as u32);
+                    sup.flush_charges();
                     ARC_SELF.with(|a| *a.borrow_mut() = None);
                 })
                 .expect("spawn worker"),
@@ -1211,6 +1301,256 @@ mod hint_tests {
             sup.signal(e);
             assert!(sup.is_signaled(e));
         });
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+
+    /// Who signals the three prereqs of the gated task.
+    #[derive(Clone, Copy, Debug)]
+    enum Signalers {
+        /// The setup thread, after spawning the gated task.
+        Setup,
+        /// The setup thread signals the first prereq before the gated task
+        /// is spawned; a task signals the other two.
+        SetupThenTask,
+        /// One task per prereq, chained so they signal in order.
+        Tasks,
+    }
+
+    #[test]
+    fn three_prereqs_in_every_order_release_exactly_once() {
+        for order in ORDERS {
+            for mode in [Signalers::Setup, Signalers::SetupThenTask, Signalers::Tasks] {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let report = run_threaded(2, |sup| {
+                    let evs: Vec<EventId> = (0..3)
+                        .map(|i| sup.new_event_named(EventClass::Avoided, &format!("pre{i}")))
+                        .collect();
+                    let sig = |by: String, ev: EventId| {
+                        let (log, sup2) = (Arc::clone(&log), Arc::clone(sup));
+                        move || {
+                            log.lock().push(by);
+                            sup2.signal(ev);
+                        }
+                    };
+                    let first = evs[order[0]];
+                    if let Signalers::SetupThenTask = mode {
+                        sig("setup".into(), first)();
+                    }
+                    let l = Arc::clone(&log);
+                    let mut gated = TaskDesc::new(
+                        "gated",
+                        TaskKind::Lexor,
+                        Box::new(move || l.lock().push("gated".to_string())),
+                    );
+                    gated.prereqs = evs.clone();
+                    sup.spawn(gated);
+                    match mode {
+                        Signalers::Setup => {
+                            for &i in &order {
+                                sig(format!("setup{i}"), evs[i])();
+                            }
+                        }
+                        Signalers::SetupThenTask => {
+                            let (a, b) = (
+                                sig("t1".into(), evs[order[1]]),
+                                sig("t2".into(), evs[order[2]]),
+                            );
+                            let mut t = TaskDesc::new(
+                                "rest",
+                                TaskKind::ShortCodeGen,
+                                Box::new(move || {
+                                    a();
+                                    b();
+                                }),
+                            );
+                            t.signals = vec![evs[order[1]], evs[order[2]]];
+                            sup.spawn(t);
+                        }
+                        Signalers::Tasks => {
+                            // Task k waits (as a prereq) for the event task
+                            // k-1 signals, so the three fire in `order`.
+                            let mut after: Option<EventId> = None;
+                            for (k, &i) in order.iter().enumerate() {
+                                let mut t = TaskDesc::new(
+                                    format!("sig{k}"),
+                                    TaskKind::ShortCodeGen,
+                                    Box::new(sig(format!("task{i}"), evs[i])),
+                                );
+                                t.signals = vec![evs[i]];
+                                t.prereqs = after.into_iter().collect();
+                                after = Some(evs[i]);
+                                sup.spawn(t);
+                            }
+                        }
+                    }
+                });
+                let log = log.lock().clone();
+                let what = format!("order {order:?}, {mode:?}: {log:?}");
+                let spawned = match mode {
+                    Signalers::Setup => 1,
+                    Signalers::SetupThenTask => 2,
+                    Signalers::Tasks => 4,
+                };
+                assert_eq!(report.tasks_run, spawned, "{what}");
+                assert_eq!(log.iter().filter(|e| *e == "gated").count(), 1, "{what}");
+                assert_eq!(log.last().map(String::as_str), Some("gated"), "{what}");
+                assert_eq!(log.len(), 4, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn wedge_diagnosis_names_every_pending_task() {
+        let setup = |sup: &Arc<ThreadedSupervisor>| {
+            let a = sup.new_event_named(EventClass::Avoided, "never-a");
+            let b = sup.new_event_named(EventClass::Avoided, "never-b");
+            let mut one = TaskDesc::new("gated-one", TaskKind::ProcParse, Box::new(|| {}));
+            one.prereqs = vec![a];
+            sup.spawn(one);
+            let mut two = TaskDesc::new("gated-two", TaskKind::ProcParse, Box::new(|| {}));
+            two.prereqs = vec![b, a];
+            sup.spawn(two);
+            sup.spawn(TaskDesc::new("free", TaskKind::ProcParse, Box::new(|| {})));
+        };
+        let payload = std::panic::catch_unwind(|| run_threaded(2, setup))
+            .expect_err("a wedge without recovery must panic");
+        let msg = payload_message(payload.as_ref());
+        for name in ["gated-one", "gated-two", "never-a", "never-b"] {
+            assert!(msg.contains(name), "{name} missing from: {msg}");
+        }
+        // In recover mode the watchdog walks the same index and releases
+        // both gated tasks.
+        let report = run_threaded_with(
+            2,
+            Robustness {
+                recover: true,
+                ..Robustness::none()
+            },
+            setup,
+        );
+        assert_eq!(report.tasks_run, 3);
+        assert!(
+            report
+                .stalls
+                .iter()
+                .any(|s| s.contains("gated-one") && s.contains("gated-two")),
+            "{:?}",
+            report.stalls
+        );
+    }
+
+    /// A small seeded generator for the stress below (no dependencies).
+    fn next(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// One ping-pong run: `workers / 2` pairs of tasks hand a token back
+    /// and forth through one-shot events, with seeded spins between the
+    /// steps to vary which side sleeps first. The events are barriers, so
+    /// a waiting worker parks instead of nesting its partner (which would
+    /// wait on the suspended task beneath it), and every pair holds two
+    /// workers.
+    fn ping_pong(workers: usize, seed: u64) {
+        let mut rng = seed;
+        let rounds = 50 + (next(&mut rng) % 100) as usize;
+        let done = Arc::new(AtomicU64::new(0));
+        let pairs = workers / 2;
+        let report = run_threaded(workers, |sup| {
+            for pair in 0..pairs {
+                let ping: Vec<EventId> = (0..rounds)
+                    .map(|_| sup.new_event(EventClass::Barrier))
+                    .collect();
+                let pong: Vec<EventId> = (0..rounds)
+                    .map(|_| sup.new_event(EventClass::Barrier))
+                    .collect();
+                for side in 0..2 {
+                    let (mine, theirs) = if side == 0 {
+                        (ping.clone(), pong.clone())
+                    } else {
+                        (pong.clone(), ping.clone())
+                    };
+                    let spins: Vec<u64> = (0..rounds).map(|_| next(&mut rng) % 2000).collect();
+                    let (sup2, d) = (Arc::clone(sup), Arc::clone(&done));
+                    let (signals, may_wait) = (mine.clone(), theirs.clone());
+                    let mut t = TaskDesc::new(
+                        format!("pair{pair}.{side}"),
+                        TaskKind::ProcParse,
+                        Box::new(move || {
+                            for r in 0..mine.len() {
+                                for _ in 0..spins[r] {
+                                    std::hint::spin_loop();
+                                }
+                                if side == 0 {
+                                    sup2.signal(mine[r]);
+                                    sup2.wait(theirs[r]);
+                                } else {
+                                    sup2.wait(theirs[r]);
+                                    sup2.signal(mine[r]);
+                                }
+                            }
+                            d.fetch_add(1, Ordering::Relaxed);
+                        }),
+                    );
+                    t.may_wait = WaitSet {
+                        events: may_wait,
+                        all_def_scopes: false,
+                        any_barrier: true,
+                    };
+                    t.signals = signals;
+                    t.signals_barriers = true;
+                    sup.spawn(t);
+                }
+            }
+        });
+        assert_eq!(done.load(Ordering::Relaxed), 2 * pairs as u64);
+        assert_eq!(report.tasks_run, 2 * pairs);
+    }
+
+    /// Lost-wakeup stress for the sleeper-aware notify: a missed wake-up
+    /// leaves a worker asleep with its event signaled, which shows up as
+    /// a hang, so every run is bounded by a timeout.
+    #[test]
+    fn ping_pong_stress_never_loses_a_wakeup() {
+        for workers in [2usize, 4] {
+            for seed in 0..64u64 {
+                let (tx, rx) = mpsc::channel();
+                let runner = std::thread::spawn(move || {
+                    ping_pong(workers, seed);
+                    let _ = tx.send(());
+                });
+                match rx.recv_timeout(Duration::from_secs(60)) {
+                    Ok(()) => runner.join().expect("runner"),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        panic!("ping-pong hung: workers={workers} seed={seed}")
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        let payload = runner.join().expect_err("runner failed");
+                        panic!(
+                            "ping-pong failed: workers={workers} seed={seed}: {}",
+                            payload_message(payload.as_ref())
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
