@@ -67,7 +67,12 @@ echo "== compile fabric: fleet equivalence, failover, delta restart =="
 # width AND across a seeded mid-stream shard kill; the reproduce driver
 # additionally pins the failover drill (zero lost admitted requests)
 # and the delta restart economics (journal tail < full CCM2SNAP image).
+# The TCP transport's pooled connections are tested optimised too:
+# reuse, no reuse after an error / one-way drop / timeout, stop with
+# pooled sockets held, kill/register dropping the pool, concurrent
+# callers, and sever cutting calls in flight.
 cargo test -q -p ccm2-fabric
+cargo test -q --release -p ccm2-fabric --lib transport
 cargo test -q --test fabric
 cargo run -q --release -p ccm2-bench --bin reproduce -- fabric
 
@@ -81,7 +86,9 @@ echo "== chaosnet: seeded network-fault drill matrix =="
 # The split-brain drills add router-loss cells on the same seed x
 # transport grid: router kill, router partition, and dueling routers.
 # No epoch may ever see two live leaders and the fleet's durable
-# membership must converge to one image.
+# membership must converge to one image. The stalled-peer cells (tcp,
+# wall clock) stop a shard's handler while it still accepts: eviction
+# within (evict_misses + 1) x period plus slack, 0 lost, 0 hangs.
 cargo test -q --test chaosnet
 cargo run -q --release -p ccm2-bench --bin reproduce -- chaosnet
 grep -q '"schema":"ccm2-bench/chaosnet/v2"' BENCH_chaosnet.json
@@ -91,6 +98,20 @@ grep -q '"hangs":0' BENCH_chaosnet.json
 grep -q '"split_brain"' BENCH_chaosnet.json
 grep -q '"two_leader_epochs":0' BENCH_chaosnet.json
 grep -q '"divergent_membership":0' BENCH_chaosnet.json
+# Stalled peers: a shard that accepts but never answers is evicted by
+# the probe deadline and its blocked calls fail over.
+grep -q '"stalled_peer":{"lost":0,"hangs":0,"cells":\[{' BENCH_chaosnet.json
+
+echo "== DKY strategies: simulator totals are deterministic =="
+# Virtual time depends only on the input: the Avoidance waits follow the
+# import order, so three processes must print identical totals.
+dky1=$(cargo run -q --release -p ccm2-bench --bin reproduce -- dky)
+for _ in 2 3; do
+  if [ "$(cargo run -q --release -p ccm2-bench --bin reproduce -- dky)" != "$dky1" ]; then
+    echo "reproduce -- dky printed different totals across runs" >&2
+    exit 1
+  fi
+done
 
 echo "== editor sessions: convergence, coalescing, error-unit determinism =="
 # The watch loop must converge every seeded edit session — broken

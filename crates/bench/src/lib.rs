@@ -1836,6 +1836,38 @@ pub fn chaosnet_with(
         wall.as_millis()
     ));
 
+    // Stalled peers: a shard that accepts connections but never answers
+    // must be evicted by the probe deadline, and the calls blocked on it
+    // must fail over.
+    out.push_str(&format!(
+        "\nstalled-peer drills (tcp, --heartbeat-ms={heartbeat_ms}): victim accepts, never answers\n"
+    ));
+    out.push_str(
+        "  seed   | victim | evicted in | bound  | held frames | held compiles | events\n",
+    );
+    out.push_str(
+        "  -------+--------+------------+--------+-------------+---------------+-------\n",
+    );
+    let mut stall_cells = Vec::new();
+    for &seed in seeds {
+        let cell = stalled_peer_cell(seed, heartbeat_ms);
+        out.push_str(&format!(
+            "  {:#6x} | {:>6} | {:>7} ms | {:>3} ms | {:>11} | {:>13} | {:>6}\n",
+            cell.seed,
+            cell.victim,
+            cell.evicted_in.as_millis(),
+            cell.bound.as_millis(),
+            cell.held_frames,
+            cell.held_compiles,
+            cell.events,
+        ));
+        stall_cells.push(cell);
+    }
+    out.push_str(&format!(
+        "  {} cells: evicted within bound, 0 lost, 0 hangs, byte-identical to standalone\n",
+        stall_cells.len()
+    ));
+
     if let Some(path) = json_path {
         let mut cell_json = String::new();
         for c in &cells {
@@ -1875,8 +1907,25 @@ pub fn chaosnet_with(
                 c.transcript.len(),
             ));
         }
+        let mut stall_json = String::new();
+        for c in &stall_cells {
+            if !stall_json.is_empty() {
+                stall_json.push(',');
+            }
+            stall_json.push_str(&format!(
+                "{{\"seed\":{},\"transport\":\"tcp\",\"events\":{},\"victim\":{},\"heartbeat_ms\":{},\"evicted_in_micros\":{},\"bound_micros\":{},\"held_frames\":{},\"held_compiles\":{},\"lost\":0,\"mismatched\":0,\"hangs\":0}}",
+                c.seed,
+                c.events,
+                c.victim,
+                c.heartbeat_ms,
+                c.evicted_in.as_micros(),
+                c.bound.as_micros(),
+                c.held_frames,
+                c.held_compiles,
+            ));
+        }
         let json = format!(
-            "{{\"schema\":\"ccm2-bench/chaosnet/v2\",\"cells\":[{cell_json}],\"split_brain\":{{\"cells\":[{sb_json}],\"two_leader_epochs\":0,\"divergent_membership\":0}},\"wall_clock\":{{\"heartbeat_ms\":{heartbeat_ms},\"evicted_in_micros\":{}}},\"lost\":0,\"mismatched\":0,\"hangs\":0}}\n",
+            "{{\"schema\":\"ccm2-bench/chaosnet/v2\",\"cells\":[{cell_json}],\"split_brain\":{{\"cells\":[{sb_json}],\"two_leader_epochs\":0,\"divergent_membership\":0}},\"wall_clock\":{{\"heartbeat_ms\":{heartbeat_ms},\"evicted_in_micros\":{}}},\"stalled_peer\":{{\"lost\":0,\"hangs\":0,\"cells\":[{stall_json}]}},\"lost\":0,\"mismatched\":0,\"hangs\":0}}\n",
             wall.as_micros()
         );
         std::fs::write(path, json).expect("write BENCH_chaosnet.json");
@@ -2222,6 +2271,266 @@ fn chaosnet_wall_clock(heartbeat_ms: u64) -> std::time::Duration {
         server.stop();
     }
     elapsed
+}
+
+// ---- stalled peer: a shard that accepts but never answers --------------
+
+/// Slack on top of the `(evict_misses + 1) × period` eviction bound of a
+/// stalled peer: the other probes of a tick and the host's scheduling.
+const STALL_EVICT_SLACK: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// A served batch that has not come back after this long is a hang.
+const STALL_HANG_AFTER: std::time::Duration = std::time::Duration::from_secs(60);
+
+/// One stalled-peer cell (TCP, wall clock): what the report and the
+/// `stalled_peer` section of `BENCH_chaosnet.json` carry. The hard
+/// checks run inside [`stalled_peer_cell`].
+pub struct StalledPeerCell {
+    /// Load seed.
+    pub seed: u64,
+    /// Requests served (before, during and after the stall).
+    pub events: usize,
+    /// The stalled shard.
+    pub victim: u32,
+    /// Wall-clock heartbeat period.
+    pub heartbeat_ms: u64,
+    /// Stall to eviction.
+    pub evicted_in: std::time::Duration,
+    /// The bound it was held to: `(evict_misses + 1) × period` plus
+    /// 250 ms of slack.
+    pub bound: std::time::Duration,
+    /// Frames the victim held while stalled (pings, compiles, deltas).
+    pub held_frames: u64,
+    /// Compile frames among them: calls that were blocked on the victim
+    /// until the eviction cut their connections and they failed over.
+    pub held_compiles: u64,
+}
+
+/// A shard handler with a stall switch: while stalled, every frame is
+/// held — the server still accepts connections, but nothing answers.
+struct StallSwitch {
+    inner: Arc<dyn ccm2_fabric::FrameHandler>,
+    stalled: std::sync::Mutex<bool>,
+    released: std::sync::Condvar,
+    held: std::sync::atomic::AtomicU64,
+    held_compiles: std::sync::atomic::AtomicU64,
+}
+
+impl StallSwitch {
+    fn set(&self, on: bool) {
+        *self.stalled.lock().expect("stall switch") = on;
+        self.released.notify_all();
+    }
+}
+
+impl ccm2_fabric::FrameHandler for StallSwitch {
+    fn handle(&self, frame: &[u8]) -> Vec<u8> {
+        use std::sync::atomic::Ordering;
+        let mut stalled = self.stalled.lock().expect("stall switch");
+        if *stalled {
+            self.held.fetch_add(1, Ordering::SeqCst);
+            if matches!(
+                ccm2_fabric::decode_frame(frame),
+                Some(ccm2_fabric::Message::Compile(_))
+            ) {
+                self.held_compiles.fetch_add(1, Ordering::SeqCst);
+            }
+            while *stalled {
+                stalled = self.released.wait(stalled).expect("stall switch");
+            }
+        }
+        drop(stalled);
+        self.inner.handle(frame)
+    }
+}
+
+/// The stalled-peer drill: three shards over TCP under
+/// [`ccm2_fabric::start_heartbeats`] at `heartbeat_ms`. Mid-load, the
+/// shard that owns the next request stops answering while still
+/// accepting connections; that request is sent to it and blocks. The
+/// detector's probe deadline turns the silence into misses, so the
+/// shard is evicted within `(evict_misses + 1) × period` plus slack;
+/// the eviction shuts down its connections, so the blocked call fails
+/// over to a survivor. The victim is then released and re-admitted.
+/// Zero lost requests, zero hangs, and every output byte-identical to
+/// a standalone compile — checked here, so a regression fails the
+/// drill.
+pub fn stalled_peer_cell(seed: u64, heartbeat_ms: u64) -> StalledPeerCell {
+    use ccm2_fabric::{
+        start_heartbeats, FabricResponse, FabricRouter, FrameHandler, HealthState, HeartbeatConfig,
+        ShardNode, TcpShardServer, TcpTransport, Transport,
+    };
+    use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
+    use ccm2_workload::{serve_load, ServeLoadParams};
+    use std::collections::HashMap;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    let params = ServeLoadParams {
+        seed,
+        projects: 3,
+        clients: 4,
+        events: 36,
+        edit_every: 12,
+        interface_every: 3,
+    };
+    let config = ServeConfig {
+        workers: 2,
+        queue_capacity: 32,
+        store_budget: 128 * 1024,
+        ..ServeConfig::default()
+    };
+    let requests: Vec<CompileRequest> = serve_load(&params)
+        .iter()
+        .map(|e| {
+            let mut req = CompileRequest::new(
+                e.client,
+                e.module.name.clone(),
+                e.module.source.clone(),
+                Arc::new(e.module.defs.clone()),
+            );
+            req.exec = ExecChoice::Sim(4);
+            req
+        })
+        .collect();
+    let mut expected = HashMap::new();
+    for req in &requests {
+        expected
+            .entry(req.fingerprint())
+            .or_insert_with(|| standalone_compile(req));
+    }
+    let expected = Arc::new(expected);
+
+    let heartbeat = HeartbeatConfig {
+        suspect_misses: 1,
+        evict_misses: 2,
+    };
+    let period = Duration::from_millis(heartbeat_ms.max(1));
+    let transport = Arc::new(TcpTransport::new());
+    let mut switches = Vec::new();
+    let mut servers = Vec::new();
+    for id in 0..3u32 {
+        let switch = Arc::new(StallSwitch {
+            inner: Arc::new(ShardNode::start(id, config)),
+            stalled: std::sync::Mutex::new(false),
+            released: std::sync::Condvar::new(),
+            held: Default::default(),
+            held_compiles: Default::default(),
+        });
+        let server = TcpShardServer::serve(Arc::clone(&switch) as Arc<dyn FrameHandler>)
+            .expect("tcp shard server");
+        transport.register(id, server.addr());
+        switches.push(switch);
+        servers.push(server);
+    }
+    let router = Arc::new(
+        FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>).with_heartbeat(heartbeat),
+    );
+    let mut beats = start_heartbeats(Arc::clone(&router), period);
+    // Every switch is released on any exit, a failed check included,
+    // before the heartbeat thread and the servers are joined: a held
+    // frame would keep either waiting forever.
+    struct ReleaseOnDrop(Vec<Arc<StallSwitch>>);
+    impl Drop for ReleaseOnDrop {
+        fn drop(&mut self) {
+            for switch in &self.0 {
+                switch.set(false);
+            }
+        }
+    }
+    let _release = ReleaseOnDrop(switches.clone());
+
+    // Serves a slice on a thread of its own, retrying shed requests,
+    // and checks every answer against the standalone bytes. The caller
+    // gets the join back only through a bounded wait: a batch that does
+    // not return is a hang, not a slow test.
+    let drive = |slice: &[CompileRequest]| {
+        let (router, expected) = (Arc::clone(&router), Arc::clone(&expected));
+        let mut pending = slice.to_vec();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut waves = 0usize;
+            while !pending.is_empty() {
+                waves += 1;
+                assert!(waves <= 100, "stalled-peer drive must drain");
+                let batch = std::mem::take(&mut pending);
+                for (req, resp) in batch.iter().zip(router.serve_batch(&batch)) {
+                    match resp {
+                        FabricResponse::Done(o) => {
+                            assert!(o.ok, "{:?}", o.diagnostics);
+                            assert!(
+                                (o.object, o.diagnostics) == expected[&req.fingerprint()],
+                                "stalled-peer bytes diverged from standalone for {}",
+                                req.module
+                            );
+                        }
+                        FabricResponse::Retry { .. } => pending.push(req.clone()),
+                    }
+                }
+            }
+            let _ = done.send(());
+        });
+        finished
+    };
+    let wait = |finished: std::sync::mpsc::Receiver<()>, what: &str| {
+        finished
+            .recv_timeout(STALL_HANG_AFTER)
+            .unwrap_or_else(|_| panic!("stalled-peer drill hung ({what}) or lost a request"));
+    };
+
+    let (third, two_thirds) = (requests.len() / 3, requests.len() * 2 / 3);
+    wait(drive(&requests[..third]), "healthy phase");
+
+    // The owner of the next request stalls, so that request blocks
+    // until the eviction cuts its connection.
+    let victim = ccm2_fabric::HashRing::new(&router.live_shards(), ccm2_fabric::DEFAULT_VNODES)
+        .route(requests[third].fingerprint())
+        .expect("a live shard");
+    switches[victim as usize].set(true);
+    let stalled_at = Instant::now();
+    let served = drive(&requests[third..two_thirds]);
+    let bound = period * (heartbeat.evict_misses + 1) + STALL_EVICT_SLACK;
+    while router.health(victim) != HealthState::Evicted {
+        assert!(
+            stalled_at.elapsed() < STALL_HANG_AFTER,
+            "stalled shard {victim} never evicted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let evicted_in = stalled_at.elapsed();
+    assert!(
+        evicted_in <= bound,
+        "stalled shard {victim} evicted after {evicted_in:?}, bound {bound:?}"
+    );
+    wait(served, "stall phase");
+    let victim_switch = &switches[victim as usize];
+    let held_frames = victim_switch.held.load(Ordering::SeqCst);
+    let held_compiles = victim_switch.held_compiles.load(Ordering::SeqCst);
+    assert!(
+        held_compiles > 0,
+        "no compile was blocked on the stalled shard — the drill is vacuous"
+    );
+
+    // Release and re-admit: the rejoined shard serves normally again.
+    victim_switch.set(false);
+    assert!(router.admit_shard(victim), "re-admission refused");
+    assert_eq!(router.health(victim), HealthState::Alive);
+    wait(drive(&requests[two_thirds..]), "rejoined phase");
+
+    beats.stop();
+    for server in &mut servers {
+        server.stop();
+    }
+    StalledPeerCell {
+        seed,
+        events: requests.len(),
+        victim,
+        heartbeat_ms,
+        evicted_in,
+        bound,
+        held_frames,
+        held_compiles,
+    }
 }
 
 // ---- split-brain drills: router loss without divergent membership -------

@@ -21,7 +21,7 @@
 //! events that gate procedure streams.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -476,15 +476,15 @@ impl Driver {
             }),
         });
         let meter = Arc::new(EnvMeter(Arc::clone(&env)));
+        let link = Arc::new(DriverLink(Arc::downgrade(&driver)));
         let sema = Arc::new(Sema::new(
             interner,
             sink,
             options.strategy,
-            Arc::clone(&driver) as Arc<dyn DkyWaiter>,
+            Arc::clone(&link) as Arc<dyn DkyWaiter>,
             meter,
         ));
-        sema.tables
-            .set_notifier(Arc::clone(&driver) as Arc<dyn TableNotifier>);
+        sema.tables.set_notifier(link as Arc<dyn TableNotifier>);
         assert!(driver.sema.set(sema).is_ok(), "sema set once");
         driver
     }
@@ -778,6 +778,23 @@ impl Driver {
         self.spawn_task(t);
     }
 
+    /// The definition scopes `imports` name, in import order and without
+    /// repeats, starting each one's stream if needed. Avoidance waits walk
+    /// this list, so the order of waits (and with it the simulator's
+    /// interleaving) follows the source, never a hash map's iteration.
+    fn import_scopes(self: &Arc<Self>, imports: &[Import], depth: usize) -> Vec<(Symbol, ScopeId)> {
+        let mut scopes: Vec<(Symbol, ScopeId)> = Vec::new();
+        for imp in imports {
+            let m = imp.module().name;
+            if scope_of(&scopes, m).is_none() {
+                if let Some(s) = self.ensure_def_stream(m, depth) {
+                    scopes.push((m, s));
+                }
+            }
+        }
+        scopes
+    }
+
     // ---- task bodies ------------------------------------------------------
 
     fn def_parse(self: &Arc<Self>, name: Symbol, scope: ScopeId, q: Arc<TokenQueue>, depth: usize) {
@@ -801,20 +818,13 @@ impl Driver {
                 ),
             ));
         }
-        let mapping: HashMap<Symbol, ScopeId> = def
-            .imports
-            .iter()
-            .filter_map(|imp| {
-                let m = imp.module().name;
-                self.ensure_def_stream(m, depth + 1).map(|s| (m, s))
-            })
-            .collect();
-        bind_imports(&sema, scope, &def.imports, &|n| mapping.get(&n).copied());
+        let imported = self.import_scopes(&def.imports, depth + 1);
+        bind_imports(&sema, scope, &def.imports, &|n| scope_of(&imported, n));
         if self.strategy == DkyStrategy::Avoidance {
             // §2.2: delay semantic analysis until the tables it may search
             // are complete.
-            for s in mapping.values() {
-                self.wait_scope_complete(*s);
+            for &(_, s) in &imported {
+                self.wait_scope_complete(s);
             }
         }
         let hooks = DriverHooks { driver: self };
@@ -859,17 +869,11 @@ impl Driver {
             }
         };
         let imports = streaming.imports().to_vec();
-        let mapping: HashMap<Symbol, ScopeId> = imports
-            .iter()
-            .filter_map(|imp| {
-                let m = imp.module().name;
-                self.ensure_def_stream(m, 1).map(|s| (m, s))
-            })
-            .collect();
-        bind_imports(&sema, scope, &imports, &|n| mapping.get(&n).copied());
+        let imported = self.import_scopes(&imports, 1);
+        bind_imports(&sema, scope, &imports, &|n| scope_of(&imported, n));
         if self.strategy == DkyStrategy::Avoidance {
-            for s in mapping.values() {
-                self.wait_scope_complete(*s);
+            for &(_, s) in &imported {
+                self.wait_scope_complete(s);
             }
         }
         // Declarations are analyzed as they are parsed, so each procedure
@@ -1716,6 +1720,11 @@ impl Driver {
     }
 }
 
+/// The scope `imports` bound `module` to (see [`Driver::import_scopes`]).
+fn scope_of(imports: &[(Symbol, ScopeId)], module: Symbol) -> Option<ScopeId> {
+    imports.iter().find(|&&(m, _)| m == module).map(|&(_, s)| s)
+}
+
 // ---- trait wiring ------------------------------------------------------
 
 /// An owning handle: the splitter and importer speak to the driver
@@ -1812,17 +1821,54 @@ impl StreamFactory for DriverHandle {
     }
 }
 
+/// The driver as its `Sema` reaches it. The driver owns the `Sema`, so the
+/// way back is weak: a strong one would be a cycle that keeps the whole
+/// compile state alive after its output is returned. While tasks run,
+/// `compile_concurrent` holds the driver, so the upgrade always succeeds.
+struct DriverLink(Weak<Driver>);
+
+impl TableNotifier for DriverLink {
+    fn scope_completed(&self, scope: ScopeId) {
+        if let Some(d) = self.0.upgrade() {
+            d.scope_completed(scope);
+        }
+    }
+
+    fn symbol_inserted(&self, scope: ScopeId, name: Symbol) {
+        if let Some(d) = self.0.upgrade() {
+            d.symbol_inserted(scope, name);
+        }
+    }
+}
+
+impl DkyWaiter for DriverLink {
+    fn wait_scope_complete(&self, scope: ScopeId) {
+        if let Some(d) = self.0.upgrade() {
+            d.wait_scope_complete(scope);
+        }
+    }
+
+    fn wait_symbol(&self, scope: ScopeId, name: Symbol) {
+        if let Some(d) = self.0.upgrade() {
+            d.wait_symbol(scope, name);
+        }
+    }
+}
+
 impl TableNotifier for Driver {
     fn scope_completed(&self, scope: ScopeId) {
         let (ev, symbol_evs) = {
             let st = self.st.lock();
             let ev = st.scope_events.get(&scope).copied();
-            let evs: Vec<EventId> = st
+            let mut evs: Vec<EventId> = st
                 .symbol_events
                 .iter()
                 .filter(|((s, _), _)| *s == scope)
                 .map(|(_, &e)| e)
                 .collect();
+            // Signal in creation order, not the map's: wake order shapes
+            // the simulator's interleaving.
+            evs.sort_unstable();
             (ev, evs)
         };
         if let Some(e) = ev {

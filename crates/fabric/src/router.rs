@@ -61,7 +61,12 @@
 //!
 //! Ticks are driven two ways: drills call `heartbeat_tick()` directly
 //! (virtual time — deterministic), while a TCP deployment runs
-//! [`start_heartbeats`] for a wall-clock cadence.
+//! [`start_heartbeats`] for a wall-clock cadence. There each `Ping`
+//! must be answered within one period ([`Transport::call_within`]), so
+//! a shard that accepts but never answers is a miss, not a wedged
+//! detector. Every eviction [severs](Transport::sever) the shard's
+//! connections, so a call blocked on it fails over to a survivor;
+//! [`FabricRouter::admit_shard`] rejoins it.
 //!
 //! # The eviction lease: who may run a failover
 //!
@@ -393,6 +398,9 @@ pub struct FabricRouter {
     adaptive: Option<AdaptiveCadence>,
     rtt_samples: Mutex<Vec<u64>>,
     down: AtomicBool,
+    /// Read deadline for each `Ping`, in µs (0: none). [`start_heartbeats`]
+    /// sets it to one period, so a stalled peer counts as a miss.
+    probe_deadline_us: AtomicU64,
 }
 
 impl FabricRouter {
@@ -422,6 +430,7 @@ impl FabricRouter {
             adaptive: None,
             rtt_samples: Mutex::new(Vec::new()),
             down: AtomicBool::new(false),
+            probe_deadline_us: AtomicU64::new(0),
         }
     }
 
@@ -654,6 +663,9 @@ impl FabricRouter {
             return;
         };
         self.note_epoch(image.epoch);
+        for &m in &image.members {
+            self.transport.rejoin(m);
+        }
         *self.ring.lock() = HashRing::new(&image.members, DEFAULT_VNODES);
         let mut health = self.health.lock();
         for &m in &image.members {
@@ -724,6 +736,16 @@ impl FabricRouter {
         }
     }
 
+    /// Sends one heartbeat probe, under the probe deadline if one is set.
+    fn probe(&self, shard: u32, ping: &[u8]) -> std::io::Result<Vec<u8>> {
+        match self.probe_deadline_us.load(Ordering::Relaxed) {
+            0 => self.transport.call(shard, ping),
+            us => self
+                .transport
+                .call_within(shard, ping, std::time::Duration::from_micros(us)),
+        }
+    }
+
     /// The leading router's round: nonce'd pings advance the suspicion
     /// clock, renewals keep the lease fresh, and any `EpochReject`
     /// demotes *before* an eviction can run on stale authority.
@@ -743,7 +765,7 @@ impl FabricRouter {
             self.stats.lock().pings += 1;
             let ping = encode_frame(&Message::Ping { nonce });
             let sent = std::time::Instant::now();
-            let pong = match self.transport.call(shard, &ping) {
+            let pong = match self.probe(shard, &ping) {
                 Ok(bytes) => match decode_frame(&bytes) {
                     Some(Message::Pong {
                         shard: s,
@@ -833,7 +855,7 @@ impl FabricRouter {
             self.stats.lock().pings += 1;
             let ping = encode_frame(&Message::Ping { nonce });
             let sent = std::time::Instant::now();
-            if let Ok(bytes) = self.transport.call(shard, &ping) {
+            if let Ok(bytes) = self.probe(shard, &ping) {
                 if let Some(Message::Pong {
                     shard: s,
                     nonce: n,
@@ -891,6 +913,7 @@ impl FabricRouter {
         if !self.confirm_lease() {
             return false;
         }
+        self.transport.rejoin(shard);
         if !sources.is_empty() {
             self.health.lock().entry(shard).or_default().state = HealthState::Rejoining;
             let mut shipped = None;
@@ -1202,6 +1225,8 @@ impl FabricRouter {
             }
             ring.shards()
         };
+        // Calls still blocked on the shard fail now and re-route.
+        self.transport.sever(shard);
         self.stats.lock().failovers += 1;
         self.health.lock().entry(shard).or_default().state = HealthState::Evicted;
         if self.role() == RouterRole::Standby {
@@ -1297,19 +1322,31 @@ impl Drop for HeartbeatHandle {
 /// Runs [`FabricRouter::heartbeat_tick`] every `period` on a background
 /// thread until the handle is stopped or dropped. The wall-clock
 /// counterpart of a drill's virtual-time tick loop.
+///
+/// Ticks start on a fixed cadence (a tick that overran its period is
+/// followed at once), and from now on each `Ping` must be answered
+/// within one `period`. A shard that stalls is therefore evicted within
+/// `(evict_misses + 1) × period` plus the time the other probes take.
 pub fn start_heartbeats(router: Arc<FabricRouter>, period: std::time::Duration) -> HeartbeatHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
+    let deadline_us = period.as_micros().clamp(1, u128::from(u64::MAX)) as u64;
+    router
+        .probe_deadline_us
+        .store(deadline_us, Ordering::Relaxed);
     let thread = std::thread::spawn(move || {
+        let mut next = std::time::Instant::now();
         while !flag.load(Ordering::Relaxed) {
             router.heartbeat_tick();
+            next = (next + period).max(std::time::Instant::now());
             // Sleep in small slices so stop() never waits a full period.
-            let mut left = period;
             let slice = std::time::Duration::from_millis(5);
-            while !left.is_zero() && !flag.load(Ordering::Relaxed) {
-                let d = left.min(slice);
-                std::thread::sleep(d);
-                left -= d;
+            loop {
+                let left = next.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() || flag.load(Ordering::Relaxed) {
+                    break;
+                }
+                std::thread::sleep(left.min(slice));
             }
         }
     });

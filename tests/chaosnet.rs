@@ -5,7 +5,9 @@
 //! diagnostics of one standalone [`CompileService`], on the
 //! deterministic loopback transport and on real TCP sockets alike. A
 //! crash-restart of the whole fleet from its durable `CCM2RLOG` replica
-//! logs must come back holding every parked delta op.
+//! logs must come back holding every parked delta op, and a peer that
+//! stalls on a live socket must be evicted and failed over in bounded
+//! time.
 
 use std::sync::Arc;
 
@@ -253,6 +255,27 @@ fn tcp_partition_cycle_matches_standalone() {
         assert_eq!(&r.1, &f.1, "object bytes diverge at event {i}");
         assert_eq!(&r.2, &f.2, "diagnostics diverge at event {i}");
     }
+}
+
+// A shard that still accepts connections but never answers, on real
+// TCP under the wall-clock detector: the probe deadline evicts it within
+// `(evict_misses + 1) × period` plus slack, the eviction cuts the
+// compile blocked on it so it fails over, and no request is lost. The
+// drill itself (shared with `reproduce -- chaosnet`) checks byte-identity
+// to standalone and the hang bound.
+#[test]
+fn tcp_stalled_peer_is_evicted_and_blocked_calls_fail_over() {
+    let cell = ccm2_bench::stalled_peer_cell(0x57A1, 25);
+    assert!(
+        cell.evicted_in <= cell.bound,
+        "evicted after {:?}, bound {:?}",
+        cell.evicted_in,
+        cell.bound
+    );
+    assert!(
+        cell.held_compiles > 0,
+        "no compile was blocked on the stall"
+    );
 }
 
 // A whole-fleet crash (router, transport, and every node dropped) must

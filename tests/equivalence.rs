@@ -318,3 +318,71 @@ fn no_early_split_ablation_is_still_equivalent() {
         );
     }
 }
+
+#[test]
+fn avoidance_sim_runs_are_bit_for_bit_deterministic() {
+    // Avoidance waits on every imported scope before declaring; the wait
+    // order must follow the imports, so two runs in one process (whose
+    // hash maps are seeded differently) interleave identically.
+    let m = generate(&GenParams {
+        name: "DetAvoid".into(),
+        seed: 5,
+        procedures: 24,
+        interfaces: 12,
+        import_depth: 4,
+        stmts_per_proc: 12,
+        nested_ratio: 0.2,
+        lint_seeds: false,
+        fault_seeds: false,
+        lock_seeds: false,
+    });
+    let run = || {
+        compile_concurrent(
+            &m.source,
+            Arc::new(m.defs.clone()),
+            Arc::new(Interner::new()),
+            Options {
+                strategy: DkyStrategy::Avoidance,
+                executor: Executor::Sim(SimConfig::firefly(8)),
+                ..Options::default()
+            },
+        )
+    };
+    let a = run();
+    for _ in 0..3 {
+        let b = run();
+        assert_eq!(a.report.virtual_time, b.report.virtual_time);
+        assert_eq!(a.report.tasks_run, b.report.tasks_run);
+        assert_eq!(a.stats.dky_blockages(), b.stats.dky_blockages());
+    }
+}
+
+#[test]
+fn compile_state_is_freed_with_the_output() {
+    // Nothing but the returned output may keep a compile's state alive:
+    // the lookup statistics live in the compile's `Sema`, so any other
+    // holder of them means the driver (and everything it owns) leaked.
+    let m = generate(&GenParams::small("Leak", 4));
+    for executor in [Executor::Threads(2), Executor::Sim(SimConfig::firefly(1))] {
+        let out = compile_concurrent(
+            &m.source,
+            Arc::new(m.defs.clone()),
+            Arc::new(Interner::new()),
+            Options {
+                executor: executor.clone(),
+                ..Options::default()
+            },
+        );
+        assert!(out.is_ok(), "{executor:?}: {:?}", out.diagnostics);
+        assert_eq!(
+            Arc::strong_count(&out.stats),
+            1,
+            "{executor:?}: compile state outlives its output"
+        );
+        assert_eq!(
+            Arc::strong_count(&out.sources),
+            1,
+            "{executor:?}: compile state outlives its output"
+        );
+    }
+}
