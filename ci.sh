@@ -158,6 +158,28 @@ if ! grep -q "mbrs_version_${mver}_mismatch_quarantined" crates/fabric/src/durab
   exit 1
 fi
 
+echo "== store snapshots: format-version bump guard =="
+# And for the persisted CCM2SNAP store images: bumping
+# SNAP_FORMAT_VERSION requires a matching quarantine test (future
+# versions must be quarantined and fall back, never misdecoded).
+snver=$(grep -o 'SNAP_FORMAT_VERSION: u32 = [0-9]*' crates/serve/src/snapshot.rs | grep -o '[0-9]*$')
+if ! grep -q "snap_version_${snver}_mismatch_quarantined" crates/serve/src/snapshot.rs; then
+  echo "SNAP_FORMAT_VERSION is ${snver} but crates/serve/src/snapshot.rs has no" >&2
+  echo "snap_version_${snver}_mismatch_quarantined test — add one for the new version." >&2
+  exit 1
+fi
+
+echo "== delta batches: format-version bump guard =="
+# And for the CCM2DELT batches that the delta journal stores and shards
+# ship to their peers: bumping DELTA_FORMAT_VERSION requires a matching
+# rejection test with a forged valid checksum.
+dver=$(grep -o 'DELTA_FORMAT_VERSION: u32 = [0-9]*' crates/incr/src/delta.rs | grep -o '[0-9]*$')
+if ! grep -q "delta_version_${dver}_mismatch_rejected" crates/incr/src/delta.rs; then
+  echo "DELTA_FORMAT_VERSION is ${dver} but crates/incr/src/delta.rs has no" >&2
+  echo "delta_version_${dver}_mismatch_rejected test — add one for the new version." >&2
+  exit 1
+fi
+
 echo "== interprocedural lock-order analysis: static deadlock prediction =="
 # Cross-procedure re-LOCK and lock-order-cycle predictions must be
 # byte-identical to the sequential reference under every DKY strategy and

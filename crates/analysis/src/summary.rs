@@ -22,7 +22,7 @@
 //! test below, so the constant cannot change without the test renaming
 //! to prove the invalidation path.
 
-use ccm2_support::hash::Fp128;
+use ccm2_support::codec::{ByteReader, ByteWriter, CodecError, Envelope};
 use ccm2_support::source::Span;
 
 use crate::callgraph::{CallSite, LockAcquire, UnitSummary};
@@ -32,6 +32,7 @@ use crate::callgraph::{CallSite, LockAcquire, UnitSummary};
 pub const SUMMARY_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 8] = b"CCM2LOCK";
+const ENVELOPE: Envelope = Envelope::new(MAGIC, None);
 
 /// Why a summary blob was rejected. Every variant is a cache *miss*,
 /// never a panic: the driver recompiles the stream and reports a Note.
@@ -69,161 +70,99 @@ impl std::fmt::Display for SummaryDecodeError {
     }
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn strs(&mut self, v: &[String]) {
-        self.u32(v.len() as u32);
-        for s in v {
-            self.str(s);
+impl From<CodecError> for SummaryDecodeError {
+    fn from(e: CodecError) -> SummaryDecodeError {
+        match e {
+            CodecError::TooShort => SummaryDecodeError::TooShort,
+            CodecError::BadMagic => SummaryDecodeError::BadMagic,
+            CodecError::Checksum => SummaryDecodeError::Checksum,
+            CodecError::Version { found } => SummaryDecodeError::Version { found },
+            CodecError::Utf8 => SummaryDecodeError::Malformed("non-utf8 string"),
+            CodecError::OutOfBounds | CodecError::Invalid => {
+                SummaryDecodeError::Malformed("out of bounds")
+            }
         }
     }
-
-    fn span(&mut self, span: Span, base: u32) {
-        self.u32(span.lo.saturating_sub(base));
-        self.u32(span.hi.saturating_sub(base));
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
 }
 
 type DecodeResult<T> = Result<T, SummaryDecodeError>;
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(SummaryDecodeError::Malformed("out of bounds"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+fn put_strs(w: &mut ByteWriter, v: &[String]) {
+    w.u32(v.len() as u32);
+    for s in v {
+        w.str(s);
     }
+}
 
-    fn u32(&mut self) -> DecodeResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+fn put_span(w: &mut ByteWriter, span: Span, base: u32) {
+    w.u32(span.lo.saturating_sub(base));
+    w.u32(span.hi.saturating_sub(base));
+}
+
+fn strs(r: &mut ByteReader<'_>) -> DecodeResult<Vec<String>> {
+    let n = r.count(4)?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(r.str()?.to_owned());
     }
+    Ok(v)
+}
 
-    fn str(&mut self) -> DecodeResult<String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| SummaryDecodeError::Malformed("non-utf8 string"))
-    }
-
-    fn strs(&mut self) -> DecodeResult<Vec<String>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::new();
-        for _ in 0..n {
-            v.push(self.str()?);
-        }
-        Ok(v)
-    }
-
-    fn span(&mut self, base: u32) -> DecodeResult<Span> {
-        let lo = self.u32()?;
-        let hi = self.u32()?;
-        Ok(Span::new(base + lo, base + hi))
-    }
-
-    fn done(&self) -> DecodeResult<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(SummaryDecodeError::Malformed("trailing bytes"))
-        }
+/// Reads a span and rebases it onto `base`. The checksum is not a MAC,
+/// so a forged span may overflow or end before it starts.
+fn span(r: &mut ByteReader<'_>, base: u32) -> DecodeResult<Span> {
+    let lo = base.checked_add(r.u32()?);
+    let hi = base.checked_add(r.u32()?);
+    match (lo, hi) {
+        (Some(lo), Some(hi)) if lo <= hi => Ok(Span::new(lo, hi)),
+        _ => Err(SummaryDecodeError::Malformed("span")),
     }
 }
 
 /// Serializes one unit summary with spans stored relative to `base`
 /// (the stream's carve start; pass 0 for absolute spans).
 pub fn encode_summary(s: &UnitSummary, base: u32) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(64),
-    };
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(SUMMARY_FORMAT_VERSION);
+    let mut w = ENVELOPE.writer(SUMMARY_FORMAT_VERSION, 36);
     w.str(&s.unit);
     w.u32(s.acquires.len() as u32);
     for a in &s.acquires {
-        w.strs(&a.held);
+        put_strs(&mut w, &a.held);
         w.str(&a.lock);
-        w.span(a.span, base);
+        put_span(&mut w, a.span, base);
     }
     w.u32(s.calls.len() as u32);
     for c in &s.calls {
-        w.strs(&c.held);
+        put_strs(&mut w, &c.held);
         w.str(&c.callee);
-        w.span(c.span, base);
+        put_span(&mut w, c.span, base);
     }
-    let checksum = Fp128::of(&w.buf);
-    w.buf.extend_from_slice(&checksum.hi.to_le_bytes());
-    w.buf.extend_from_slice(&checksum.lo.to_le_bytes());
-    w.buf
+    ENVELOPE.seal(w)
 }
 
 /// Deserializes a summary, validating magic, checksum and version, and
 /// rebasing every span onto `base`. Never panics on malformed input.
 pub fn decode_summary(bytes: &[u8], base: u32) -> DecodeResult<UnitSummary> {
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        return Err(SummaryDecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = bytes.split_at(bytes.len() - 16);
-    let mut hi = [0u8; 8];
-    let mut lo = [0u8; 8];
-    hi.copy_from_slice(&checksum_bytes[..8]);
-    lo.copy_from_slice(&checksum_bytes[8..]);
-    let stored = Fp128 {
-        hi: u64::from_le_bytes(hi),
-        lo: u64::from_le_bytes(lo),
-    };
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(SummaryDecodeError::BadMagic);
-    }
-    if Fp128::of(body) != stored {
-        return Err(SummaryDecodeError::Checksum);
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: MAGIC.len(),
-    };
-    let version = r.u32()?;
-    if version != SUMMARY_FORMAT_VERSION {
-        return Err(SummaryDecodeError::Version { found: version });
-    }
-    let unit = r.str()?;
-    let n_acquires = r.u32()? as usize;
-    let mut acquires = Vec::new();
+    let mut r = ENVELOPE.open(bytes, SUMMARY_FORMAT_VERSION)?;
+    let unit = r.str()?.to_owned();
+    let n_acquires = r.count(4 + 4 + 8)?;
+    let mut acquires = Vec::with_capacity(n_acquires);
     for _ in 0..n_acquires {
-        let held = r.strs()?;
-        let lock = r.str()?;
-        let span = r.span(base)?;
+        let held = strs(&mut r)?;
+        let lock = r.str()?.to_owned();
+        let span = span(&mut r, base)?;
         acquires.push(LockAcquire { held, lock, span });
     }
-    let n_calls = r.u32()? as usize;
-    let mut calls = Vec::new();
+    let n_calls = r.count(4 + 4 + 8)?;
+    let mut calls = Vec::with_capacity(n_calls);
     for _ in 0..n_calls {
-        let held = r.strs()?;
-        let callee = r.str()?;
-        let span = r.span(base)?;
+        let held = strs(&mut r)?;
+        let callee = r.str()?.to_owned();
+        let span = span(&mut r, base)?;
         calls.push(CallSite { held, callee, span });
     }
-    r.done()?;
+    if !r.is_done() {
+        return Err(SummaryDecodeError::Malformed("trailing bytes"));
+    }
     Ok(UnitSummary {
         unit,
         acquires,
@@ -284,7 +223,7 @@ mod tests {
         let mut forged = bytes[..bytes.len() - 16].to_vec();
         let at = MAGIC.len();
         forged[at..at + 4].copy_from_slice(&(SUMMARY_FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = Fp128::of(&forged);
+        let checksum = ENVELOPE.checksum(&forged);
         forged.extend_from_slice(&checksum.hi.to_le_bytes());
         forged.extend_from_slice(&checksum.lo.to_le_bytes());
         assert_eq!(
@@ -310,6 +249,24 @@ mod tests {
             assert!(
                 decode_summary(&bytes[..len], 0).is_err(),
                 "truncation to {len} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_spans_are_rejected_without_panicking() {
+        for (lo, hi, base) in [(10, 5, 0), (u32::MAX, u32::MAX, 1)] {
+            let mut w = ENVELOPE.writer(SUMMARY_FORMAT_VERSION, 0);
+            w.str("M.P");
+            w.u32(1); // one acquire
+            w.u32(0); // nothing held
+            w.str("mu");
+            w.u32(lo);
+            w.u32(hi);
+            w.u32(0); // no calls
+            assert_eq!(
+                decode_summary(&ENVELOPE.seal(w), base),
+                Err(SummaryDecodeError::Malformed("span"))
             );
         }
     }

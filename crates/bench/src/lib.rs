@@ -2860,7 +2860,7 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
     let image = store
         .load_latest()
         .expect("membership readable")
-        .image
+        .value
         .expect("membership persisted");
     assert_eq!(image.leader, b.router_id());
     assert_eq!(image.epoch, promoted_epoch);

@@ -4,11 +4,10 @@
 //! A shard's per-origin [`ReplicaLog`](crate::ReplicaLog)s are pure
 //! potential energy: they only matter at failover, which is exactly
 //! when the process holding them may itself have just restarted. This
-//! module persists the full replica map with the same checksummed
-//! temp-file + atomic-rename discipline as the `CCM2SNAP` store
-//! snapshots, so a shard (or the whole fleet) can come back up holding
-//! every delta op it had parked for its peers — a router kill between
-//! ship and absorb loses zero ops.
+//! module persists the full replica map in an [`ImageDir`], like the
+//! `CCM2SNAP` store snapshots, so a shard (or the whole fleet) can come
+//! back up holding every delta op it had parked for its peers — a
+//! router kill between ship and absorb loses zero ops.
 //!
 //! # Image format (version 1)
 //!
@@ -25,21 +24,14 @@
 //! checksum   hi u64 LE, lo u64 LE   Fp128 of everything above
 //! ```
 //!
-//! Images are named `rlog-{seq:08}.img`; loading walks them
-//! newest-first and quarantines (into `quarantine/`) any that fail
-//! validation, falling back to the next older image — identical to the
-//! snapshot protocol. After a successful save, images older than the
-//! previous one are pruned: the logs are rewritten whole on every
-//! mutation, so only the newest image (plus one fallback) carries
-//! information.
+//! Images are named `rlog-{seq:08}.img`. A save prunes to the new
+//! image plus one fallback: the logs are rewritten whole on every
+//! mutation, so only the newest image carries information.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use ccm2_incr::{decode_delta, encode_delta};
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::codec::{CodecError, Envelope, ImageDir, ImageFormat};
 
 use crate::shard::ReplicaLog;
 
@@ -47,192 +39,60 @@ const MAGIC: &[u8; 8] = b"CCM2RLOG";
 /// Bump on any change to the persisted replica-log encoding; ci.sh
 /// greps for a matching `rlog_version_{N}_mismatch_quarantined` test.
 pub const RLOG_FORMAT_VERSION: u32 = 1;
+const RLOG: Envelope = Envelope::new(MAGIC, Some("ccm2-rlog/v1"));
+
+/// The `CCM2RLOG` image format: one shard's whole replica map.
+#[derive(Debug)]
+pub enum RlogFormat {}
 
 /// A directory of replica-log images plus their quarantine.
-#[derive(Debug)]
-pub struct ReplicaLogStore {
-    dir: PathBuf,
-}
+pub type ReplicaLogStore = ImageDir<RlogFormat>;
 
-/// What [`ReplicaLogStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedReplicaLogs {
-    /// The newest valid image's per-origin logs; `None` when no valid
-    /// image exists (fresh directory, or every image damaged).
-    pub logs: Option<HashMap<u32, ReplicaLog>>,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
-}
+impl ImageFormat for RlogFormat {
+    const PREFIX: &'static str = "rlog";
+    const KEEP: Option<usize> = Some(2);
+    type Source = HashMap<u32, ReplicaLog>;
+    type Value = HashMap<u32, ReplicaLog>;
 
-impl ReplicaLogStore {
-    /// Opens (creating if needed) a replica-log directory.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<ReplicaLogStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(ReplicaLogStore { dir })
+    fn encode(logs: &HashMap<u32, ReplicaLog>) -> Vec<u8> {
+        let mut w = RLOG.writer(RLOG_FORMAT_VERSION, 0);
+        // Deterministic image bytes: origins in ascending order.
+        let mut origins: Vec<u32> = logs.keys().copied().collect();
+        origins.sort_unstable();
+        w.u32(origins.len() as u32);
+        for origin in origins {
+            let log = &logs[&origin];
+            w.u32(origin);
+            w.u64(log.last_seq);
+            w.u64(log.gaps);
+            w.bool(log.gapped);
+            w.bytes(&encode_delta(0, &log.ops));
+        }
+        RLOG.seal(w)
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `rlog-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("rlog-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
+    /// Strict validation: magic, version, exact length accounting, the
+    /// trailer checksum, and every embedded `CCM2DELT` batch must all
+    /// hold; anything else is an error and the image is quarantined.
+    fn decode(buf: &[u8]) -> Result<HashMap<u32, ReplicaLog>, CodecError> {
+        let mut r = RLOG.open(buf, RLOG_FORMAT_VERSION)?;
+        let count = r.count(4 + 8 + 8 + 1 + 4)?;
+        let mut logs = HashMap::with_capacity(count);
+        for _ in 0..count {
+            let origin = r.u32()?;
+            let log = ReplicaLog {
+                last_seq: r.u64()?,
+                gaps: r.u64()?,
+                gapped: r.bool()?,
+                ops: decode_delta(r.bytes()?).ok_or(CodecError::Invalid)?.1,
+            };
+            if logs.insert(origin, log).is_some() {
+                return Err(CodecError::Invalid); // duplicate origin: framing bug or tampering
             }
         }
-        v.sort();
-        Ok(v)
+        r.end()?;
+        Ok(logs)
     }
-
-    /// Writes a new image of `logs` (crash-atomic: temp file, flush,
-    /// rename) and prunes images older than the previous one.
-    pub fn save(&self, logs: &HashMap<u32, ReplicaLog>) -> io::Result<PathBuf> {
-        let existing = self.images()?;
-        let seq = existing.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode(logs);
-        let path = self.dir.join(format!("rlog-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".rlog-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        // Keep the new image plus one fallback; everything older is a
-        // strict subset of information already superseded twice.
-        for (_, old) in existing.iter().rev().skip(1) {
-            let _ = fs::remove_file(old);
-        }
-        Ok(path)
-    }
-
-    /// Loads the newest valid image, quarantining any torn/corrupt ones
-    /// encountered on the way down.
-    pub fn load_latest(&self) -> io::Result<LoadedReplicaLogs> {
-        let mut loaded = LoadedReplicaLogs::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some(logs) = decode(&bytes) {
-                loaded.logs = Some(logs);
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
-        }
-        Ok(loaded)
-    }
-
-    /// Number of quarantined images currently on disk.
-    pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
-    }
-}
-
-fn encode(logs: &HashMap<u32, ReplicaLog>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&RLOG_FORMAT_VERSION.to_le_bytes());
-    // Deterministic image bytes: origins in ascending order.
-    let mut origins: Vec<u32> = logs.keys().copied().collect();
-    origins.sort_unstable();
-    buf.extend_from_slice(&(origins.len() as u32).to_le_bytes());
-    for origin in origins {
-        let log = &logs[&origin];
-        buf.extend_from_slice(&origin.to_le_bytes());
-        buf.extend_from_slice(&log.last_seq.to_le_bytes());
-        buf.extend_from_slice(&log.gaps.to_le_bytes());
-        buf.push(u8::from(log.gapped));
-        let batch = encode_delta(0, &log.ops);
-        buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&batch);
-    }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
-}
-
-/// Strict validation: magic, version, exact length accounting, the
-/// trailer checksum, and every embedded `CCM2DELT` batch must all
-/// hold; anything else is `None` and the caller quarantines the image.
-fn decode(buf: &[u8]) -> Option<HashMap<u32, ReplicaLog>> {
-    if buf.len() < MAGIC.len() + 4 + 4 + 16 || &buf[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != RLOG_FORMAT_VERSION {
-        return None;
-    }
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut logs = HashMap::with_capacity(count.min(1024));
-    for _ in 0..count {
-        if body.len() < pos + 4 + 8 + 8 + 1 + 4 {
-            return None;
-        }
-        let origin = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-        pos += 4;
-        let last_seq = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        pos += 8;
-        let gaps = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        pos += 8;
-        let gapped = match body[pos] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        pos += 1;
-        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        let batch = body.get(pos..pos + len)?;
-        pos += len;
-        let (_, ops) = decode_delta(batch)?;
-        if logs
-            .insert(
-                origin,
-                ReplicaLog {
-                    last_seq,
-                    ops,
-                    gaps,
-                    gapped,
-                },
-            )
-            .is_some()
-        {
-            return None; // duplicate origin: framing bug or tampering
-        }
-    }
-    (pos == body.len()).then_some(logs)
-}
-
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-rlog/v1");
-    h.write(bytes);
-    h.finish()
 }
 
 // ---- CCM2MBRS: durable membership images ------------------------------
@@ -241,13 +101,14 @@ const MBRS_MAGIC: &[u8; 8] = b"CCM2MBRS";
 /// Bump on any change to the persisted membership encoding; ci.sh greps
 /// for a matching `mbrs_version_{N}_mismatch_quarantined` test.
 pub const MBRS_FORMAT_VERSION: u32 = 1;
+const MBRS: Envelope = Envelope::new(MBRS_MAGIC, Some("ccm2-mbrs/v1"));
 
 /// One durable membership record: the lease epoch it was written under,
 /// the router that wrote it, and the ring membership at that moment.
 /// This is the state a standby router mirrors and a freshly promoted
-/// leader restores — the durable half of router failover, sharing the
-/// `CCM2RLOG` directory discipline (crash-atomic temp+rename, Fp128
-/// trailer, quarantine + newest-fallback, prune to newest+1).
+/// leader restores — the durable half of router failover, kept in an
+/// [`ImageDir`] like the `CCM2RLOG` logs (crash-atomic writes, Fp128
+/// trailer, quarantine + newest fallback, prune to newest+1).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MembershipImage {
     /// Lease epoch the writer held.
@@ -259,166 +120,58 @@ pub struct MembershipImage {
 }
 
 /// A directory of membership images plus their quarantine.
-#[derive(Debug)]
-pub struct MembershipStore {
-    dir: PathBuf,
-}
+pub type MembershipStore = ImageDir<MembershipImage>;
 
-/// What [`MembershipStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedMembership {
-    /// The newest valid image; `None` when no valid image exists.
-    pub image: Option<MembershipImage>,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
-}
+impl ImageFormat for MembershipImage {
+    const PREFIX: &'static str = "mbrs";
+    const KEEP: Option<usize> = Some(2);
+    type Source = MembershipImage;
+    type Value = MembershipImage;
 
-impl MembershipStore {
-    /// Opens (creating if needed) a membership directory.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<MembershipStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(MembershipStore { dir })
-    }
-
-    /// The image directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `mbrs-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("mbrs-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
-            }
+    fn encode(image: &MembershipImage) -> Vec<u8> {
+        // Deterministic image bytes: members in ascending order.
+        let mut members = image.members.clone();
+        members.sort_unstable();
+        let mut w = MBRS.writer(MBRS_FORMAT_VERSION, 8 + 4 + 4 + 4 * members.len());
+        w.u64(image.epoch);
+        w.u32(image.leader);
+        w.u32(members.len() as u32);
+        for m in members {
+            w.u32(m);
         }
-        v.sort();
-        Ok(v)
+        MBRS.seal(w)
     }
 
-    /// Writes a new membership image (crash-atomic) and prunes images
-    /// older than the previous one.
-    pub fn save(&self, image: &MembershipImage) -> io::Result<PathBuf> {
-        let existing = self.images()?;
-        let seq = existing.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode_membership(image);
-        let path = self.dir.join(format!("mbrs-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".mbrs-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        for (_, old) in existing.iter().rev().skip(1) {
-            let _ = fs::remove_file(old);
+    /// Strict validation, mirroring the replica-log decoder: magic,
+    /// version, exact length accounting and the trailer checksum.
+    fn decode(buf: &[u8]) -> Result<MembershipImage, CodecError> {
+        let mut r = MBRS.open(buf, MBRS_FORMAT_VERSION)?;
+        let epoch = r.u64()?;
+        let leader = r.u32()?;
+        let count = r.count(4)?;
+        let mut members = Vec::with_capacity(count);
+        for _ in 0..count {
+            members.push(r.u32()?);
         }
-        Ok(path)
-    }
-
-    /// Loads the newest valid image, quarantining torn/corrupt/skewed
-    /// ones encountered on the way down.
-    pub fn load_latest(&self) -> io::Result<LoadedMembership> {
-        let mut loaded = LoadedMembership::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some(image) = decode_membership(&bytes) {
-                loaded.image = Some(image);
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
+        if members.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(CodecError::Invalid); // unsorted or duplicated members: tampering
         }
-        Ok(loaded)
+        r.end()?;
+        Ok(MembershipImage {
+            epoch,
+            leader,
+            members,
+        })
     }
-
-    /// Number of quarantined images currently on disk.
-    pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
-    }
-}
-
-fn encode_membership(image: &MembershipImage) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MBRS_MAGIC);
-    buf.extend_from_slice(&MBRS_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&image.epoch.to_le_bytes());
-    buf.extend_from_slice(&image.leader.to_le_bytes());
-    // Deterministic image bytes: members in ascending order.
-    let mut members = image.members.clone();
-    members.sort_unstable();
-    buf.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    for m in members {
-        buf.extend_from_slice(&m.to_le_bytes());
-    }
-    let sum = membership_checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
-}
-
-/// Strict validation, mirroring the replica-log decoder: magic,
-/// version, exact length accounting and the trailer checksum.
-fn decode_membership(buf: &[u8]) -> Option<MembershipImage> {
-    if buf.len() < MBRS_MAGIC.len() + 4 + 8 + 4 + 4 + 16 || &buf[..MBRS_MAGIC.len()] != MBRS_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = membership_checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MBRS_MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != MBRS_FORMAT_VERSION {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    let leader = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?);
-    pos += 4;
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut members = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        members.push(u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?));
-        pos += 4;
-    }
-    if members.windows(2).any(|w| w[0] >= w[1]) {
-        return None; // unsorted or duplicated members: tampering
-    }
-    (pos == body.len()).then_some(MembershipImage {
-        epoch,
-        leader,
-        members,
-    })
-}
-
-fn membership_checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-mbrs/v1");
-    h.write(bytes);
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccm2_incr::DeltaOp;
+    use ccm2_support::hash::Fp128;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
@@ -486,7 +239,7 @@ mod tests {
         assert!(path.ends_with("rlog-00000001.img"));
         let loaded = store.load_latest().unwrap();
         assert!(loaded.quarantined.is_empty());
-        assert_same(&logs, &loaded.logs.expect("image loads"));
+        assert_same(&logs, &loaded.value.expect("image loads"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -496,12 +249,12 @@ mod tests {
         let store = ReplicaLogStore::new(&dir).unwrap();
         let logs = sample_logs();
         store.save(&logs).unwrap();
-        let good = encode(&logs);
+        let good = RlogFormat::encode(&logs);
         fs::write(dir.join("rlog-00000002.img"), &good[..good.len() / 2]).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);
         assert_eq!(store.quarantined_count(), 1);
-        assert_same(&logs, &loaded.logs.expect("fallback image loads"));
+        assert_same(&logs, &loaded.value.expect("fallback image loads"));
         assert!(store.load_latest().unwrap().quarantined.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -533,16 +286,16 @@ mod tests {
         // A well-formed image claiming a future version, with a valid
         // checksum — the version guard (not the integrity check) must
         // reject it.
-        let mut img = encode(&sample_logs());
+        let mut img = RlogFormat::encode(&sample_logs());
         img.truncate(img.len() - 16);
         img[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let sum = checksum(&img);
+        let sum = RLOG.checksum(&img);
         img.extend_from_slice(&sum.hi.to_le_bytes());
         img.extend_from_slice(&sum.lo.to_le_bytes());
-        assert!(decode(&img).is_none(), "future version rejected");
+        assert!(RlogFormat::decode(&img).is_err(), "future version rejected");
         fs::write(dir.join("rlog-00000001.img"), &img).unwrap();
         let loaded = store.load_latest().unwrap();
-        assert!(loaded.logs.is_none());
+        assert!(loaded.value.is_none());
         assert_eq!(loaded.quarantined.len(), 1, "skewed image quarantined");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -550,15 +303,18 @@ mod tests {
     #[test]
     fn bit_flips_and_bad_embedded_batches_fail_validation() {
         let logs = sample_logs();
-        let good = encode(&logs);
-        assert!(decode(&good).is_some());
+        let good = RlogFormat::encode(&logs);
+        assert!(RlogFormat::decode(&good).is_ok());
         for i in (0..good.len()).step_by(7) {
             let mut bad = good.clone();
             bad[i] ^= 0x10;
-            assert!(decode(&bad).is_none(), "flip at byte {i} undetected");
+            assert!(
+                RlogFormat::decode(&bad).is_err(),
+                "flip at byte {i} undetected"
+            );
         }
-        assert!(decode(&good[..good.len() - 1]).is_none(), "torn");
-        assert!(decode(b"").is_none());
+        assert!(RlogFormat::decode(&good[..good.len() - 1]).is_err(), "torn");
+        assert!(RlogFormat::decode(b"").is_err());
     }
 
     #[test]
@@ -566,7 +322,7 @@ mod tests {
         let dir = tmp_dir("cold");
         let store = ReplicaLogStore::new(&dir).unwrap();
         let loaded = store.load_latest().unwrap();
-        assert!(loaded.logs.is_none());
+        assert!(loaded.value.is_none());
         assert!(loaded.quarantined.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -583,13 +339,13 @@ mod tests {
     fn membership_round_trips_and_prunes() {
         let dir = tmp_dir("mbrs-rt");
         let store = MembershipStore::new(&dir).unwrap();
-        assert!(store.load_latest().unwrap().image.is_none(), "cold start");
+        assert!(store.load_latest().unwrap().value.is_none(), "cold start");
         for _ in 0..4 {
             store.save(&sample_membership()).unwrap();
         }
         let loaded = store.load_latest().unwrap();
         assert!(loaded.quarantined.is_empty());
-        assert_eq!(loaded.image, Some(sample_membership()));
+        assert_eq!(loaded.value, Some(sample_membership()));
         assert_eq!(
             store.images().unwrap().len(),
             2,
@@ -603,17 +359,17 @@ mod tests {
         let dir = tmp_dir("mbrs-torn");
         let store = MembershipStore::new(&dir).unwrap();
         store.save(&sample_membership()).unwrap();
-        let good = encode_membership(&sample_membership());
+        let good = MembershipImage::encode(&sample_membership());
         fs::write(dir.join("mbrs-00000002.img"), &good[..good.len() / 2]).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);
         assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(loaded.image, Some(sample_membership()));
+        assert_eq!(loaded.value, Some(sample_membership()));
         for i in (0..good.len()).step_by(5) {
             let mut bad = good.clone();
             bad[i] ^= 0x20;
             assert!(
-                decode_membership(&bad).is_none(),
+                MembershipImage::decode(&bad).is_err(),
                 "flip at byte {i} undetected"
             );
         }
@@ -628,16 +384,19 @@ mod tests {
         assert_eq!(MBRS_FORMAT_VERSION, 1);
         let dir = tmp_dir("mbrs-vskew");
         let store = MembershipStore::new(&dir).unwrap();
-        let mut img = encode_membership(&sample_membership());
+        let mut img = MembershipImage::encode(&sample_membership());
         img.truncate(img.len() - 16);
         img[MBRS_MAGIC.len()..MBRS_MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let sum = membership_checksum(&img);
+        let sum = MBRS.checksum(&img);
         img.extend_from_slice(&sum.hi.to_le_bytes());
         img.extend_from_slice(&sum.lo.to_le_bytes());
-        assert!(decode_membership(&img).is_none(), "future version rejected");
+        assert!(
+            MembershipImage::decode(&img).is_err(),
+            "future version rejected"
+        );
         fs::write(dir.join("mbrs-00000001.img"), &img).unwrap();
         let loaded = store.load_latest().unwrap();
-        assert!(loaded.image.is_none());
+        assert!(loaded.value.is_none());
         assert_eq!(loaded.quarantined.len(), 1, "skewed image quarantined");
         let _ = fs::remove_dir_all(&dir);
     }

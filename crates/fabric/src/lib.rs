@@ -69,13 +69,12 @@ use ccm2_serve::ServeConfig;
 
 pub use client::{ClientRetryStats, FabricClient, CLIENT_MAX_ATTEMPTS, CLIENT_MAX_SLEEP_MS};
 pub use durable::{
-    LoadedMembership, LoadedReplicaLogs, MembershipImage, MembershipStore, ReplicaLogStore,
-    MBRS_FORMAT_VERSION, RLOG_FORMAT_VERSION,
+    MembershipImage, MembershipStore, ReplicaLogStore, MBRS_FORMAT_VERSION, RLOG_FORMAT_VERSION,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
-    start_heartbeats, AdaptiveCadence, FabricResponse, FabricRouter, FabricStats, FleetRetryBurn,
-    HealthState, HeartbeatConfig, HeartbeatHandle, LeaseConfig, RouterRole, ShardRetryBurn,
+    start_heartbeats, FabricResponse, FabricRouter, FabricStats, FleetRetryBurn, HealthState,
+    HeartbeatConfig, HeartbeatHandle, LeaseConfig, RouterRole, ShardRetryBurn,
     DEFAULT_RETRY_AFTER_MS,
 };
 pub use shard::{LeaseView, ReplicaLog, ShardNode, ShardStats, REPLICA_LOG_CAP};
@@ -137,13 +136,6 @@ impl Fabric {
     /// Overrides the router's failure-detector thresholds.
     pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> Fabric {
         self.router = self.router.with_heartbeat(config);
-        self
-    }
-
-    /// Lets the router's failure detector scale its miss budget with
-    /// observed RTT percentiles (see [`FabricRouter::with_adaptive_heartbeat`]).
-    pub fn with_adaptive_heartbeat(mut self, cadence: AdaptiveCadence) -> Fabric {
-        self.router = self.router.with_adaptive_heartbeat(cadence);
         self
     }
 
@@ -487,7 +479,7 @@ mod tests {
         assert_eq!(b.leadership_epochs(), vec![2]);
 
         // The durable image records the new leader.
-        let image = store.load_latest().unwrap().image.expect("image persisted");
+        let image = store.load_latest().unwrap().value.expect("image persisted");
         assert_eq!(image.epoch, 2);
         assert_eq!(image.leader, 2);
         assert_eq!(image.members, vec![0, 1, 2]);
@@ -544,48 +536,6 @@ mod tests {
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.exhausted, 1);
         assert_eq!(stats.served, 0);
-    }
-
-    #[test]
-    fn adaptive_cadence_stretches_the_miss_budget_with_rtt_spread() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
-            .with_adaptive_heartbeat(AdaptiveCadence::default());
-        let fixed = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
-
-        // Below min_samples the static config rules.
-        for _ in 0..8 {
-            router.record_rtt(100);
-        }
-        assert_eq!(router.effective_heartbeat(), HeartbeatConfig::default());
-
-        // A tight distribution keeps the tight budget.
-        for _ in 0..24 {
-            router.record_rtt(100);
-        }
-        assert_eq!(router.effective_heartbeat(), HeartbeatConfig::default());
-
-        // A long tail (p95 ≫ p50) stretches suspicion, clamped by caps.
-        for _ in 0..24 {
-            router.record_rtt(100);
-            router.record_rtt(2_000);
-        }
-        let adapted = router.effective_heartbeat();
-        assert!(
-            adapted.suspect_misses > HeartbeatConfig::default().suspect_misses,
-            "long tail should earn a longer rope: {adapted:?}"
-        );
-        assert!(adapted.suspect_misses <= AdaptiveCadence::default().max_suspect);
-        assert!(adapted.evict_misses > adapted.suspect_misses);
-        assert!(adapted.evict_misses <= AdaptiveCadence::default().max_evict);
-
-        // Fixed cadence (the default) never adapts — the deterministic
-        // opt-out the drills rely on.
-        for _ in 0..64 {
-            fixed.record_rtt(100);
-            fixed.record_rtt(9_000);
-        }
-        assert_eq!(fixed.effective_heartbeat(), HeartbeatConfig::default());
     }
 
     #[test]

@@ -212,7 +212,7 @@ impl ShardNode {
     /// through the crash-atomic `CCM2RLOG` path.
     pub fn with_durable_log(mut self, rlogs: ReplicaLogStore) -> std::io::Result<ShardNode> {
         let loaded = rlogs.load_latest()?;
-        if let Some(logs) = loaded.logs {
+        if let Some(logs) = loaded.value {
             self.state.get_mut().replicas = logs;
         }
         self.durable = Some(rlogs);

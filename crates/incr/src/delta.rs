@@ -29,13 +29,16 @@
 //! `base_seq + i + 1`, so a reader can verify chain contiguity across
 //! batches without per-op sequence fields.
 
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::codec::{CodecError, Envelope};
+use ccm2_support::hash::Fp128;
 
 /// Magic prefix of an encoded delta batch.
 pub const DELTA_MAGIC: &[u8; 8] = b"CCM2DELT";
 /// Bump on any change to the encoding; readers treat other versions as
 /// invalid (quarantine / miss), never as data.
 pub const DELTA_FORMAT_VERSION: u32 = 1;
+
+const ENVELOPE: Envelope = Envelope::new(DELTA_MAGIC, Some("ccm2-delta/v1"));
 
 /// One store mutation, in replay order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,97 +77,54 @@ impl DeltaOp {
 /// Encodes `ops` as one checksummed batch whose first op has sequence
 /// number `base_seq + 1`.
 pub fn encode_delta(base_seq: u64, ops: &[DeltaOp]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        DELTA_MAGIC.len() + 4 + 8 + 4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>() + 16,
-    );
-    buf.extend_from_slice(DELTA_MAGIC);
-    buf.extend_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&base_seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    let body = 8 + 4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>();
+    let mut w = ENVELOPE.writer(DELTA_FORMAT_VERSION, body);
+    w.u64(base_seq);
+    w.u32(ops.len() as u32);
     for op in ops {
         match op {
             DeltaOp::Insert { fp, bytes } => {
-                buf.push(1);
-                buf.extend_from_slice(&fp.hi.to_le_bytes());
-                buf.extend_from_slice(&fp.lo.to_le_bytes());
-                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(bytes);
+                w.u8(1);
+                w.fp(*fp);
+                w.bytes(bytes);
             }
             DeltaOp::Evict { fp } => {
-                buf.push(2);
-                buf.extend_from_slice(&fp.hi.to_le_bytes());
-                buf.extend_from_slice(&fp.lo.to_le_bytes());
+                w.u8(2);
+                w.fp(*fp);
             }
         }
     }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
+    ENVELOPE.seal(w)
 }
 
 /// Decodes a batch, returning `(base_seq, ops)`. Strict validation —
 /// magic, version, exact length accounting and the trailer checksum must
-/// all hold; anything else (torn tail, bit flip, future version) is
-/// `None` and the caller degrades to a miss / quarantines the segment.
+/// all hold; anything else (torn tail, bit flip, future version, a
+/// count larger than the batch) is `None` and the caller degrades to a
+/// miss / quarantines the segment.
 pub fn decode_delta(buf: &[u8]) -> Option<(u64, Vec<DeltaOp>)> {
-    if buf.len() < DELTA_MAGIC.len() + 4 + 8 + 4 + 16 || &buf[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = DELTA_MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != DELTA_FORMAT_VERSION {
-        return None;
-    }
-    let base_seq = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-    pos += 8;
-    let count = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-    pos += 4;
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        if body.len() < pos + 17 {
-            return None;
-        }
-        let tag = body[pos];
-        let hi = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().ok()?);
-        let lo = u64::from_le_bytes(body[pos + 9..pos + 17].try_into().ok()?);
-        pos += 17;
-        let fp = Fp128 { hi, lo };
-        match tag {
-            1 => {
-                if body.len() < pos + 4 {
-                    return None;
-                }
-                let len = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-                pos += 4;
-                if body.len() < pos + len {
-                    return None;
-                }
-                ops.push(DeltaOp::Insert {
-                    fp,
-                    bytes: body[pos..pos + len].to_vec(),
-                });
-                pos += len;
-            }
-            2 => ops.push(DeltaOp::Evict { fp }),
-            _ => return None,
-        }
-    }
-    (pos == body.len()).then_some((base_seq, ops))
+    read_ops(buf).ok()
 }
 
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-delta/v1");
-    h.write(bytes);
-    h.finish()
+fn read_ops(buf: &[u8]) -> Result<(u64, Vec<DeltaOp>), CodecError> {
+    let mut r = ENVELOPE.open(buf, DELTA_FORMAT_VERSION)?;
+    let base_seq = r.u64()?;
+    let count = r.count(1 + 16)?;
+    let mut ops = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = r.u8()?;
+        let fp = r.fp()?;
+        ops.push(match tag {
+            1 => DeltaOp::Insert {
+                fp,
+                bytes: r.bytes()?.to_vec(),
+            },
+            2 => DeltaOp::Evict { fp },
+            _ => return Err(CodecError::Invalid),
+        });
+    }
+    r.end()?;
+    Ok((base_seq, ops))
 }
 
 #[cfg(test)]
@@ -217,6 +177,52 @@ mod tests {
         let mut vskew = good.clone();
         vskew[DELTA_MAGIC.len()] = 99;
         assert!(decode_delta(&vskew).is_none(), "future version rejected");
+    }
+
+    /// Re-seals `buf` after `edit` so only the field checks can reject it.
+    fn forge(buf: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = buf[..buf.len() - 16].to_vec();
+        edit(&mut body);
+        let sum = ENVELOPE.checksum(&body);
+        body.extend_from_slice(&sum.hi.to_le_bytes());
+        body.extend_from_slice(&sum.lo.to_le_bytes());
+        body
+    }
+
+    // CI greps for a `delta_version_{N}_mismatch_rejected` test matching
+    // the current DELTA_FORMAT_VERSION: bumping the constant without a
+    // fresh cross-version test fails the gate (ci.sh).
+    #[test]
+    fn delta_version_1_mismatch_rejected() {
+        assert_eq!(DELTA_FORMAT_VERSION, 1);
+        let good = encode_delta(7, &sample());
+        // A well-formed batch claiming a future version, with a valid
+        // checksum: the version guard, not the integrity check, must
+        // reject it.
+        let at = DELTA_MAGIC.len();
+        let future = forge(&good, |b| {
+            b[at..at + 4].copy_from_slice(&2u32.to_le_bytes())
+        });
+        assert_eq!(
+            ENVELOPE.open(&future, DELTA_FORMAT_VERSION).err(),
+            Some(CodecError::Version { found: 2 }),
+            "the checksum is valid; only the version guard rejects it"
+        );
+        assert!(decode_delta(&future).is_none(), "future version rejected");
+    }
+
+    #[test]
+    fn forged_op_count_is_rejected_without_preallocating() {
+        // An empty batch re-sealed to claim u32::MAX ops: the count
+        // must be checked against the bytes left, not trusted.
+        let empty = encode_delta(0, &[]);
+        let at = DELTA_MAGIC.len() + 4 + 8;
+        let forged = forge(&empty, |b| {
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+        });
+        assert_eq!(forged.len(), 40);
+        assert!(ENVELOPE.open(&forged, DELTA_FORMAT_VERSION).is_ok());
+        assert!(decode_delta(&forged).is_none());
     }
 
     #[test]

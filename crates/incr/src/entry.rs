@@ -20,7 +20,7 @@
 use ccm2_codegen::ir::{CodeUnit, Instr, Shape};
 use ccm2_codegen::merge::ModuleImage;
 use ccm2_sema::builtins::Builtin;
-use ccm2_support::hash::Fp128;
+use ccm2_support::codec::{ByteReader, ByteWriter, CodecError, Envelope};
 use ccm2_support::{Interner, Severity, Symbol};
 
 /// On-disk format version. See the module docs before touching this.
@@ -28,6 +28,7 @@ use ccm2_support::{Interner, Severity, Symbol};
 pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"CCM2INCR";
+const ENVELOPE: Envelope = Envelope::new(MAGIC, None);
 
 /// A diagnostic recorded for replay, with spans relative to the stream's
 /// carve start (offsets shift between edits; content does not).
@@ -99,74 +100,29 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn sym(&mut self, s: Symbol, interner: &Interner) {
-        self.str(&interner.resolve(s));
+impl From<CodecError> for DecodeError {
+    fn from(e: CodecError) -> DecodeError {
+        match e {
+            CodecError::TooShort => DecodeError::TooShort,
+            CodecError::BadMagic => DecodeError::BadMagic,
+            CodecError::Checksum => DecodeError::Checksum,
+            CodecError::Version { found } => DecodeError::Version { found },
+            CodecError::Utf8 => DecodeError::Malformed("utf-8 string"),
+            CodecError::OutOfBounds | CodecError::Invalid => DecodeError::Malformed("length"),
+        }
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn put_sym(w: &mut ByteWriter, s: Symbol, interner: &Interner) {
+    w.str(&interner.resolve(s));
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(DecodeError::Malformed("length"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("utf-8 string"))
-    }
-    fn sym(&mut self, interner: &Interner) -> Result<Symbol, DecodeError> {
-        Ok(interner.intern(&self.str()?))
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+#[inline]
+fn sym(r: &mut ByteReader<'_>, interner: &Interner) -> Result<Symbol, DecodeError> {
+    Ok(interner.intern(r.str()?))
 }
 
-fn write_shape(w: &mut Writer, shape: &Shape) {
+fn write_shape(w: &mut ByteWriter, shape: &Shape) {
     match shape {
         Shape::Int => w.u8(0),
         Shape::Real => w.u8(1),
@@ -192,7 +148,7 @@ fn write_shape(w: &mut Writer, shape: &Shape) {
     }
 }
 
-fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, DecodeError> {
+fn read_shape(r: &mut ByteReader<'_>, depth: u32) -> Result<Shape, DecodeError> {
     if depth > 64 {
         return Err(DecodeError::Malformed("shape nesting"));
     }
@@ -211,8 +167,8 @@ fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, DecodeError> {
             Shape::Array(Box::new(elem), r.u32()?)
         }
         10 => {
-            let n = r.u32()?;
-            let mut fields = Vec::new();
+            let n = r.count(1)?;
+            let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 fields.push(read_shape(r, depth + 1)?);
             }
@@ -237,7 +193,7 @@ fn builtin_by_name(name: &str) -> Option<Builtin> {
         .map(|(_, b)| *b)
 }
 
-fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
+fn write_instr(w: &mut ByteWriter, instr: &Instr, interner: &Interner) {
     match instr {
         Instr::PushInt(v) => {
             w.u8(0);
@@ -257,7 +213,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushStr(s) => {
             w.u8(4);
-            w.sym(*s, interner);
+            put_sym(w, *s, interner);
         }
         Instr::PushNil => w.u8(5),
         Instr::PushSet(bits) => {
@@ -266,7 +222,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushProc(s) => {
             w.u8(7);
-            w.sym(*s, interner);
+            put_sym(w, *s, interner);
         }
         Instr::PushAddr { level_up, slot } => {
             w.u8(8);
@@ -275,7 +231,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushGlobalAddr { module, slot } => {
             w.u8(9);
-            w.sym(*module, interner);
+            put_sym(w, *module, interner);
             w.u32(*slot);
         }
         Instr::AddrField(ix) => {
@@ -327,7 +283,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
             link_up,
         } => {
             w.u8(37);
-            w.sym(*target, interner);
+            put_sym(w, *target, interner);
             w.u32(*argc);
             w.u32(*link_up);
         }
@@ -352,22 +308,22 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
     }
 }
 
-fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeError> {
+fn read_instr(r: &mut ByteReader<'_>, interner: &Interner) -> Result<Instr, DecodeError> {
     Ok(match r.u8()? {
         0 => Instr::PushInt(r.i64()?),
         1 => Instr::PushReal(r.u64()?),
         2 => Instr::PushBool(r.u8()? != 0),
         3 => Instr::PushChar(r.u8()?),
-        4 => Instr::PushStr(r.sym(interner)?),
+        4 => Instr::PushStr(sym(r, interner)?),
         5 => Instr::PushNil,
         6 => Instr::PushSet(r.u64()?),
-        7 => Instr::PushProc(r.sym(interner)?),
+        7 => Instr::PushProc(sym(r, interner)?),
         8 => Instr::PushAddr {
             level_up: r.u32()?,
             slot: r.u32()?,
         },
         9 => Instr::PushGlobalAddr {
-            module: r.sym(interner)?,
+            module: sym(r, interner)?,
             slot: r.u32()?,
         },
         10 => Instr::AddrField(r.u32()?),
@@ -401,14 +357,14 @@ fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeEr
         35 => Instr::JumpIfFalse(r.u32()?),
         36 => Instr::JumpIfTrue(r.u32()?),
         37 => Instr::Call {
-            target: r.sym(interner)?,
+            target: sym(r, interner)?,
             argc: r.u32()?,
             link_up: r.u32()?,
         },
         38 => Instr::CallIndirect { argc: r.u32()? },
         39 => {
             let name = r.str()?;
-            let builtin = builtin_by_name(&name).ok_or(DecodeError::Malformed("builtin name"))?;
+            let builtin = builtin_by_name(name).ok_or(DecodeError::Malformed("builtin name"))?;
             Instr::CallBuiltin {
                 builtin,
                 argc: r.u32()?,
@@ -424,8 +380,8 @@ fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeEr
     })
 }
 
-fn write_unit(w: &mut Writer, unit: &CodeUnit, interner: &Interner) {
-    w.sym(unit.name, interner);
+fn write_unit(w: &mut ByteWriter, unit: &CodeUnit, interner: &Interner) {
+    put_sym(w, unit.name, interner);
     w.u32(unit.level);
     w.u32(unit.param_count);
     w.u32(unit.frame.len() as u32);
@@ -442,13 +398,13 @@ fn write_unit(w: &mut Writer, unit: &CodeUnit, interner: &Interner) {
     }
 }
 
-fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, DecodeError> {
-    let name = r.sym(interner)?;
+fn read_unit(r: &mut ByteReader<'_>, interner: &Interner) -> Result<CodeUnit, DecodeError> {
+    let name = sym(r, interner)?;
     let level = r.u32()?;
     let param_count = r.u32()?;
-    let read_shapes = |r: &mut Reader<'_>| -> Result<Vec<Shape>, DecodeError> {
-        let n = r.u32()?;
-        let mut v = Vec::new();
+    let read_shapes = |r: &mut ByteReader<'_>| -> Result<Vec<Shape>, DecodeError> {
+        let n = r.count(1)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(read_shape(r, 0)?);
         }
@@ -456,8 +412,8 @@ fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, Decode
     };
     let frame = read_shapes(r)?;
     let shapes = read_shapes(r)?;
-    let n = r.u32()?;
-    let mut code = Vec::new();
+    let n = r.count(1)?;
+    let mut code = Vec::with_capacity(n);
     for _ in 0..n {
         code.push(read_instr(r, interner)?);
     }
@@ -473,9 +429,7 @@ fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, Decode
 
 /// Serializes a cache entry (see the module docs for the layout).
 pub fn encode_entry(entry: &CacheEntryData, interner: &Interner) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
+    let mut w = ENVELOPE.writer(FORMAT_VERSION, 0);
     write_unit(&mut w, &entry.unit, interner);
     w.u32(entry.diags.len() as u32);
     for d in &entry.diags {
@@ -493,42 +447,17 @@ pub fn encode_entry(entry: &CacheEntryData, interner: &Interner) -> Vec<u8> {
         w.str(name);
     }
     w.u32(entry.findings);
-    w.u32(entry.summary.len() as u32);
-    w.buf.extend_from_slice(&entry.summary);
-    let checksum = Fp128::of(&w.buf);
-    w.u64(checksum.hi);
-    w.u64(checksum.lo);
-    w.buf
+    w.bytes(&entry.summary);
+    ENVELOPE.seal(w)
 }
 
 /// Deserializes a cache entry, validating magic, version and checksum
 /// before trusting any field. Symbols are interned into `interner`.
 pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData, DecodeError> {
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        return Err(DecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = bytes.split_at(bytes.len() - 16);
-    let stored = Fp128 {
-        hi: u64::from_le_bytes(checksum_bytes[..8].try_into().unwrap()),
-        lo: u64::from_le_bytes(checksum_bytes[8..].try_into().unwrap()),
-    };
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if Fp128::of(body) != stored {
-        return Err(DecodeError::Checksum);
-    }
-    let mut r = Reader {
-        buf: body,
-        pos: MAGIC.len(),
-    };
-    let found = r.u32()?;
-    if found != FORMAT_VERSION {
-        return Err(DecodeError::Version { found });
-    }
+    let mut r = ENVELOPE.open(bytes, FORMAT_VERSION)?;
     let unit = read_unit(&mut r, interner)?;
-    let n = r.u32()?;
-    let mut diags = Vec::new();
+    let n = r.count(13)?;
+    let mut diags = Vec::with_capacity(n);
     for _ in 0..n {
         let severity = match r.u8()? {
             0 => Severity::Note,
@@ -540,18 +469,17 @@ pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData,
             severity,
             rel_lo: r.u32()?,
             rel_hi: r.u32()?,
-            message: r.str()?,
+            message: r.str()?.to_owned(),
         });
     }
-    let n = r.u32()?;
-    let mut used = Vec::new();
+    let n = r.count(4)?;
+    let mut used = Vec::with_capacity(n);
     for _ in 0..n {
-        used.push(r.str()?);
+        used.push(r.str()?.to_owned());
     }
     let findings = r.u32()?;
-    let n = r.u32()? as usize;
-    let summary = r.take(n)?.to_vec();
-    if !r.done() {
+    let summary = r.bytes()?.to_vec();
+    if !r.is_done() {
         return Err(DecodeError::Malformed("trailing bytes"));
     }
     Ok(CacheEntryData {
@@ -569,22 +497,22 @@ pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData,
 /// symbol-registration order) produced them — the basis of the
 /// warm-vs-cold byte-identity tests.
 pub fn encode_image(image: &ModuleImage, interner: &Interner) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.sym(image.name, interner);
-    w.sym(image.entry, interner);
+    let mut w = ByteWriter::default();
+    put_sym(&mut w, image.name, interner);
+    put_sym(&mut w, image.entry, interner);
     w.u32(image.units.len() as u32);
     for unit in &image.units {
         write_unit(&mut w, unit, interner);
     }
     w.u32(image.globals.len() as u32);
     for g in &image.globals {
-        w.sym(g.module, interner);
+        put_sym(&mut w, g.module, interner);
         w.u32(g.slots.len() as u32);
         for s in &g.slots {
             write_shape(&mut w, s);
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -705,7 +633,7 @@ mod tests {
         let bytes = encode_entry(&sample_entry(&interner), &interner);
         let mut forged = bytes[..bytes.len() - 16].to_vec();
         forged[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = Fp128::of(&forged);
+        let checksum = ENVELOPE.checksum(&forged);
         forged.extend_from_slice(&checksum.hi.to_le_bytes());
         forged.extend_from_slice(&checksum.lo.to_le_bytes());
         assert_eq!(

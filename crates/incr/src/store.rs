@@ -6,10 +6,10 @@
 //! failed write loses a future hit, never correctness.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ccm2_support::codec;
 use ccm2_support::hash::Fp128;
 use parking_lot::Mutex;
 
@@ -330,21 +330,15 @@ impl DiskStore {
     /// dropped (bounded forensic buffer, not a second cache).
     pub const QUARANTINE_CAP: usize = 16;
 
-    fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join("quarantine")
-    }
-
     /// Number of files currently held in `quarantine/`.
     pub fn quarantine_count(&self) -> usize {
-        std::fs::read_dir(self.quarantine_dir())
-            .map(|it| it.filter_map(|e| e.ok()).count())
-            .unwrap_or(0)
+        codec::quarantined_count(&self.dir)
     }
 
     /// Drops the oldest quarantined files until at most
     /// [`DiskStore::QUARANTINE_CAP`] remain.
     fn trim_quarantine(&self) {
-        let Ok(rd) = std::fs::read_dir(self.quarantine_dir()) else {
+        let Ok(rd) = std::fs::read_dir(codec::quarantine_dir(&self.dir)) else {
             return;
         };
         let mut found: Vec<(std::time::SystemTime, PathBuf)> = rd
@@ -496,14 +490,7 @@ impl ArtifactStore for DiskStore {
         let tmp = self
             .dir
             .join(format!(".{}.{}.{seq}.tmp", fp.to_hex(), std::process::id()));
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_data().ok();
-            std::fs::rename(&tmp, self.entry_path(fp))
-        };
-        if write().is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        if codec::write_atomic(&tmp, &self.entry_path(fp), bytes).is_err() {
             if let Some(lru) = &self.lru {
                 lru.lock().remove(fp);
             }
@@ -512,15 +499,7 @@ impl ArtifactStore for DiskStore {
 
     fn quarantine(&self, fp: Fp128) {
         let src = self.entry_path(fp);
-        if !src.exists() {
-            return;
-        }
-        let qdir = self.quarantine_dir();
-        if std::fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let dst = qdir.join(format!("{}.bin", fp.to_hex()));
-        if std::fs::rename(&src, &dst).is_ok() {
+        if src.exists() && codec::quarantine(&self.dir, &src).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             if let Some(lru) = &self.lru {
                 lru.lock().remove(fp);

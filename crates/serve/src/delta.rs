@@ -4,8 +4,8 @@
 //! [`SnapshotStore`](crate::SnapshotStore) persists *full* images of the
 //! shared store; a [`DeltaJournal`] persists the **mutation log**
 //! between images — checksummed [`ccm2_incr::delta`] batches, one
-//! segment file per ship, written with the same temp-file +
-//! atomic-rename discipline. A restart then costs one (old) snapshot
+//! segment file per ship, written with the same crash-atomic
+//! [`write_atomic`] and quarantined with the same [`quarantine`]. A restart then costs one (old) snapshot
 //! plus a replay of the ops journaled since its cut, which is usually a
 //! small fraction of a fresh full image's bytes. The very same encoded
 //! batches are what `ccm2-fabric` shards ship to their peers as the
@@ -20,9 +20,10 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use ccm2_incr::{decode_delta, encode_delta, DeltaOp};
+use ccm2_support::codec::{quarantine, quarantined_count, write_atomic};
 
 /// A directory of journaled delta segments plus their quarantine.
 #[derive(Debug)]
@@ -52,11 +53,6 @@ impl DeltaJournal {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(DeltaJournal { dir })
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// `(first, last, path)` of every segment present, ascending by
@@ -112,8 +108,7 @@ impl DeltaJournal {
         let tmp = self
             .dir
             .join(format!(".delta-{first:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&tmp, &path, &bytes)?;
         Ok(Some(path))
     }
 
@@ -137,11 +132,7 @@ impl DeltaJournal {
                 (base + 1 == first && base + ops.len() as u64 == last).then_some(ops)
             });
             let Some(ops) = valid else {
-                let qdir = self.dir.join("quarantine");
-                fs::create_dir_all(&qdir)?;
-                let dest = qdir.join(path.file_name().expect("segment file name"));
-                fs::rename(&path, &dest)?;
-                replay.quarantined.push(dest);
+                replay.quarantined.push(quarantine(&self.dir, &path)?);
                 replay.gap = true;
                 continue;
             };
@@ -161,9 +152,7 @@ impl DeltaJournal {
 
     /// Number of quarantined segments currently on disk.
     pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
+        quarantined_count(&self.dir)
     }
 }
 
@@ -202,11 +191,12 @@ impl crate::service::CompileService {
         journal: &DeltaJournal,
     ) -> io::Result<crate::service::CompileService> {
         let store = crate::SharedStore::new(config.store_budget);
-        let loaded = snaps.load_latest()?;
-        if let Some(entries) = loaded.entries {
+        let mut cut = 0;
+        if let Some((entries, delta_seq)) = snaps.load_latest()?.value {
             store.import(&entries);
+            cut = delta_seq;
         }
-        let replay = journal.load_after(loaded.delta_seq)?;
+        let replay = journal.load_after(cut)?;
         store.apply_delta(&replay.ops);
         store.resume_delta_seq(replay.last_seq);
         Ok(crate::service::CompileService::start_with_store(
@@ -304,6 +294,24 @@ mod tests {
         let replay = j.load_after(0).unwrap();
         assert!(replay.ops.is_empty());
         assert_eq!(replay.quarantined.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_append_leaves_no_temp_file() {
+        let dir = tmp_dir("failwrite");
+        let j = DeltaJournal::new(&dir).unwrap();
+        // The segment's name is already taken by a non-empty directory,
+        // so the rename fails after the temp file was written.
+        let taken = dir.join("delta-00000001-00000001.log");
+        fs::create_dir_all(taken.join("occupied")).unwrap();
+        assert!(j.append(0, &[ins(1, "a")]).is_err());
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp file left behind: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

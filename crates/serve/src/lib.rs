@@ -66,5 +66,5 @@ pub use service::{
     ClientStats, CompileService, RequestRetryReport, ServeConfig, ServeReport, ServiceStats,
     Submission, Ticket,
 };
-pub use snapshot::{LoadedSnapshot, SnapshotStore};
+pub use snapshot::SnapshotStore;
 pub use store::{SharedStore, StoreStats};

@@ -2,11 +2,9 @@
 //! the self-healing recovery plane.
 //!
 //! A snapshot is a single checksummed, versioned image of the shared
-//! artifact store, written with the same temp-file + atomic-rename
-//! journal discipline as [`ccm2_incr`]'s `DiskStore`: the bytes are
-//! fully written and flushed to a hidden temp file, then `rename`d into
-//! place, so a crash at any point leaves either the previous image set
-//! or the complete new one — never a half-written current image.
+//! artifact store, kept in an [`ImageDir`] as `snap-{seq:08}.img`. A
+//! save is crash-atomic (temp file, sync, rename), so a crash leaves
+//! either the previous image set or the complete new one.
 //!
 //! # Image format (version 2)
 //!
@@ -31,198 +29,77 @@
 //! on restore rebuilds the same eviction order — LRU behavior survives
 //! the restart.
 //!
-//! Images are named `snap-{seq:08}.img` with a monotonically increasing
-//! sequence. [`SnapshotStore::load_latest`] walks them newest-first:
-//! an image that fails validation (truncated, bit-flipped, wrong
-//! version — anything that breaks the trailer checksum) is moved into
-//! a `quarantine/` subdirectory for post-mortem and recovery falls
-//! back to the next older image, exactly like the per-entry quarantine
-//! protocol of the incremental cache.
+//! Every image is kept. [`ImageDir::load_latest`] walks them
+//! newest-first: an image that fails validation (truncated,
+//! bit-flipped, wrong version) is moved into `quarantine/` for
+//! post-mortem and recovery falls back to the next older image.
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::codec::{CodecError, Envelope, ImageDir, ImageFormat};
+use ccm2_support::hash::Fp128;
 
 use crate::store::SharedStore;
 
 const MAGIC: &[u8; 8] = b"CCM2SNAP";
-const VERSION: u32 = 2;
+/// Bump on any change to the snapshot encoding; ci.sh greps for a
+/// matching `snap_version_{N}_mismatch_quarantined` test. Version-1
+/// images (no `delta_seq`) still decode.
+pub const SNAP_FORMAT_VERSION: u32 = 2;
+const SNAP: Envelope = Envelope::new(MAGIC, Some("ccm2-snapshot/v1"));
+
+/// The `CCM2SNAP` image format: a whole [`SharedStore`].
+#[derive(Debug)]
+pub enum SnapFormat {}
 
 /// A directory of store snapshot images plus their quarantine.
-#[derive(Debug)]
-pub struct SnapshotStore {
-    dir: PathBuf,
-}
+pub type SnapshotStore = ImageDir<SnapFormat>;
 
-/// What [`SnapshotStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedSnapshot {
-    /// Entries of the newest valid image, oldest-recency first; `None`
-    /// when no valid image exists.
-    pub entries: Option<Vec<(Fp128, Vec<u8>)>>,
-    /// Store delta sequence number recorded at the image's cut (0 for
-    /// version-1 images and when no image exists). Delta replay resumes
-    /// after this sequence number.
-    pub delta_seq: u64,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
-}
+impl ImageFormat for SnapFormat {
+    const PREFIX: &'static str = "snap";
+    const KEEP: Option<usize> = None;
+    type Source = SharedStore;
+    /// Entries in LRU order, oldest-recency first, and the store delta
+    /// sequence number at the cut (0 for version-1 images): delta
+    /// replay resumes after it.
+    type Value = (Vec<(Fp128, Vec<u8>)>, u64);
 
-impl SnapshotStore {
-    /// Opens (creating if needed) a snapshot directory.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<SnapshotStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        SnapshotStore::from_existing(dir)
+    fn encode(store: &SharedStore) -> Vec<u8> {
+        let entries = store.export();
+        let body = 8 + 4 + entries.iter().map(|(_, b)| 20 + b.len()).sum::<usize>();
+        let mut w = SNAP.writer(SNAP_FORMAT_VERSION, body);
+        w.u64(store.delta_seq());
+        w.u32(entries.len() as u32);
+        for (fp, bytes) in &entries {
+            w.fp(*fp);
+            w.bytes(bytes);
+        }
+        SNAP.seal(w)
     }
 
-    fn from_existing(dir: PathBuf) -> io::Result<SnapshotStore> {
-        Ok(SnapshotStore { dir })
-    }
-
-    /// The snapshot directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `snap-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("snap-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
+    /// Strict validation: magic, version, exact length accounting and
+    /// the trailer checksum must all hold. Anything else — a torn tail,
+    /// a flipped byte, a future version — is an error and the image is
+    /// quarantined.
+    fn decode(buf: &[u8]) -> Result<Self::Value, CodecError> {
+        let (mut r, delta_seq) = match SNAP.open(buf, SNAP_FORMAT_VERSION) {
+            Ok(mut r) => {
+                let delta_seq = r.u64()?;
+                (r, delta_seq)
             }
+            // Version 1 predates the delta journal: no `delta_seq`.
+            Err(CodecError::Version { found: 1 }) => (SNAP.open(buf, 1)?, 0),
+            Err(e) => return Err(e),
+        };
+        let count = r.count(16 + 4)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push((r.fp()?, r.bytes()?.to_vec()));
         }
-        v.sort();
-        Ok(v)
+        r.end()?;
+        Ok((entries, delta_seq))
     }
-
-    /// Writes a new image of `store` and returns its path. The write is
-    /// crash-atomic: temp file in the same directory, flush, rename.
-    pub fn save(&self, store: &SharedStore) -> io::Result<PathBuf> {
-        let seq = self.images()?.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode(&store.export(), store.delta_seq());
-        let path = self.dir.join(format!("snap-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".snap-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
-
-    /// Loads the newest valid image, quarantining any torn/corrupt ones
-    /// encountered on the way down. `entries` is `None` when no image
-    /// validates (fresh directory, or every image damaged).
-    pub fn load_latest(&self) -> io::Result<LoadedSnapshot> {
-        let mut loaded = LoadedSnapshot::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some((entries, delta_seq)) = decode(&bytes) {
-                loaded.entries = Some(entries);
-                loaded.delta_seq = delta_seq;
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
-        }
-        Ok(loaded)
-    }
-
-    /// Number of quarantined images currently on disk.
-    pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
-    }
-}
-
-fn encode(entries: &[(Fp128, Vec<u8>)], delta_seq: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&delta_seq.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (fp, bytes) in entries {
-        buf.extend_from_slice(&fp.hi.to_le_bytes());
-        buf.extend_from_slice(&fp.lo.to_le_bytes());
-        buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(bytes);
-    }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
-}
-
-/// Decoded image body: entries in LRU order plus the recorded delta
-/// sequence number (0 for version-1 images).
-type DecodedImage = (Vec<(Fp128, Vec<u8>)>, u64);
-
-/// Strict validation: magic, version, exact length accounting and the
-/// trailer checksum must all hold. Anything else — a torn tail, a
-/// flipped byte, a future version — is `None` and the image is
-/// quarantined by the caller.
-fn decode(buf: &[u8]) -> Option<DecodedImage> {
-    if buf.len() < MAGIC.len() + 4 + 4 + 16 || &buf[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != 1 && version != VERSION {
-        return None;
-    }
-    let delta_seq = if version >= 2 {
-        let seq = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        seq
-    } else {
-        0
-    };
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        if body.len() < pos + 20 {
-            return None;
-        }
-        let hi = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        let lo = u64::from_le_bytes(body[pos + 8..pos + 16].try_into().ok()?);
-        let len = u32::from_le_bytes(body[pos + 16..pos + 20].try_into().ok()?) as usize;
-        pos += 20;
-        if body.len() < pos + len {
-            return None;
-        }
-        entries.push((Fp128 { hi, lo }, body[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    (pos == body.len()).then_some((entries, delta_seq))
-}
-
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-snapshot/v1");
-    h.write(bytes);
-    h.finish()
 }
 
 impl crate::service::CompileService {
@@ -242,10 +119,9 @@ impl crate::service::CompileService {
         snaps: &SnapshotStore,
     ) -> io::Result<crate::service::CompileService> {
         let store = SharedStore::new(config.store_budget);
-        let loaded = snaps.load_latest()?;
-        if let Some(entries) = loaded.entries {
+        if let Some((entries, delta_seq)) = snaps.load_latest()?.value {
             store.import(&entries);
-            store.resume_delta_seq(loaded.delta_seq);
+            store.resume_delta_seq(delta_seq);
         }
         Ok(crate::service::CompileService::start_with_store(
             config,
@@ -257,6 +133,7 @@ impl crate::service::CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
@@ -285,11 +162,12 @@ mod tests {
         assert!(path.ends_with("snap-00000001.img"));
         let loaded = snaps.load_latest().unwrap();
         assert!(loaded.quarantined.is_empty());
+        let (entries, delta_seq) = loaded.value.unwrap();
         assert_eq!(
-            loaded.entries.unwrap(),
+            entries,
             vec![(fp(2), b"two".to_vec()), (fp(1), b"one".to_vec())]
         );
-        assert_eq!(loaded.delta_seq, 2, "two logged insertions at the cut");
+        assert_eq!(delta_seq, 2, "two logged insertions at the cut");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -303,12 +181,12 @@ mod tests {
         snaps.save(&store).unwrap();
         // A newer image, torn mid-write (no atomic rename would ever
         // produce this; simulate external damage / partial disk).
-        let good = encode(&store.export(), store.delta_seq());
+        let good = SnapFormat::encode(&store);
         fs::write(dir.join("snap-00000002.img"), &good[..good.len() / 2]).unwrap();
         let loaded = snaps.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);
         assert_eq!(snaps.quarantined_count(), 1);
-        assert_eq!(loaded.entries.unwrap(), vec![(fp(7), b"good".to_vec())]);
+        assert_eq!(loaded.value.unwrap().0, vec![(fp(7), b"good".to_vec())]);
         // The torn image is gone from the active set: a second load
         // does not re-quarantine.
         assert!(snaps.load_latest().unwrap().quarantined.is_empty());
@@ -320,16 +198,22 @@ mod tests {
         let store = SharedStore::new(1024);
         use ccm2_incr::ArtifactStore as _;
         store.store(fp(3), b"payload");
-        let good = encode(&store.export(), store.delta_seq());
-        assert!(decode(&good).is_some());
+        let good = SnapFormat::encode(&store);
+        assert!(SnapFormat::decode(&good).is_ok());
         let mut flipped = good.clone();
         flipped[MAGIC.len() + 9] ^= 0x01;
-        assert!(decode(&flipped).is_none(), "bit flip detected");
+        assert!(SnapFormat::decode(&flipped).is_err(), "bit flip detected");
         let mut vskew = good.clone();
         vskew[MAGIC.len()] = 99; // version byte
-        assert!(decode(&vskew).is_none(), "future version rejected");
-        assert!(decode(&good[..10]).is_none(), "truncation detected");
-        assert!(decode(b"").is_none());
+        assert!(
+            SnapFormat::decode(&vskew).is_err(),
+            "future version rejected"
+        );
+        assert!(
+            SnapFormat::decode(&good[..10]).is_err(),
+            "truncation detected"
+        );
+        assert!(SnapFormat::decode(b"").is_err());
         let _ = &good;
     }
 
@@ -344,10 +228,10 @@ mod tests {
         buf.extend_from_slice(&fp(5).lo.to_le_bytes());
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(b"old");
-        let sum = checksum(&buf);
+        let sum = SNAP.checksum(&buf);
         buf.extend_from_slice(&sum.hi.to_le_bytes());
         buf.extend_from_slice(&sum.lo.to_le_bytes());
-        let (entries, delta_seq) = decode(&buf).expect("v1 accepted");
+        let (entries, delta_seq) = SnapFormat::decode(&buf).expect("v1 accepted");
         assert_eq!(entries, vec![(fp(5), b"old".to_vec())]);
         assert_eq!(delta_seq, 0, "v1 predates the delta journal");
     }
@@ -358,9 +242,67 @@ mod tests {
         use ccm2_incr::ArtifactStore as _;
         store.store(fp(1), b"a");
         store.store(fp(2), b"b");
-        let img = encode(&store.export(), store.delta_seq());
-        let (_, seq) = decode(&img).unwrap();
+        let img = SnapFormat::encode(&store);
+        let (_, seq) = SnapFormat::decode(&img).unwrap();
         assert_eq!(seq, store.delta_seq());
+    }
+
+    /// Re-seals `img` after `edit` so only the field checks can reject it.
+    fn forge(img: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = img[..img.len() - 16].to_vec();
+        edit(&mut body);
+        let sum = SNAP.checksum(&body);
+        body.extend_from_slice(&sum.hi.to_le_bytes());
+        body.extend_from_slice(&sum.lo.to_le_bytes());
+        body
+    }
+
+    // CI greps for a `snap_version_{N}_mismatch_quarantined` test
+    // matching the current SNAP_FORMAT_VERSION: bumping the constant
+    // without a fresh cross-version test fails the gate (ci.sh).
+    #[test]
+    fn snap_version_2_mismatch_quarantined() {
+        assert_eq!(SNAP_FORMAT_VERSION, 2);
+        let dir = tmp_dir("vskew");
+        let snaps = SnapshotStore::new(&dir).unwrap();
+        // A well-formed image claiming a future version, with a valid
+        // checksum: the version guard, not the integrity check, must
+        // reject it.
+        let at = MAGIC.len();
+        let store = SharedStore::new(1024);
+        use ccm2_incr::ArtifactStore as _;
+        store.store(fp(4), b"four");
+        let img = forge(&SnapFormat::encode(&store), |b| {
+            b[at..at + 4].copy_from_slice(&3u32.to_le_bytes())
+        });
+        assert_eq!(
+            SnapFormat::decode(&img).err(),
+            Some(CodecError::Version { found: 3 }),
+            "the checksum is valid; only the version guard rejects it"
+        );
+        fs::write(dir.join("snap-00000001.img"), &img).unwrap();
+        let loaded = snaps.load_latest().unwrap();
+        assert!(loaded.value.is_none());
+        assert_eq!(loaded.quarantined.len(), 1, "skewed image quarantined");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_entry_count_is_rejected_without_preallocating() {
+        // A valid checksum over a count of u32::MAX entries and no entry
+        // bytes: the count must be checked against the bytes left.
+        let at = MAGIC.len() + 4 + 8;
+        let img = forge(&SnapFormat::encode(&SharedStore::new(1024)), |b| {
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+        });
+        assert!(
+            SNAP.open(&img, SNAP_FORMAT_VERSION).is_ok(),
+            "checksum is valid"
+        );
+        assert_eq!(
+            SnapFormat::decode(&img).err(),
+            Some(CodecError::OutOfBounds)
+        );
     }
 
     #[test]
@@ -368,7 +310,7 @@ mod tests {
         let dir = tmp_dir("cold");
         let snaps = SnapshotStore::new(&dir).unwrap();
         let loaded = snaps.load_latest().unwrap();
-        assert!(loaded.entries.is_none());
+        assert!(loaded.value.is_none());
         assert!(loaded.quarantined.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,9 @@
 //!   thread-safe [`diag::DiagnosticSink`] so concurrently running compiler
 //!   tasks can report errors without interleaving;
 //! * [`ids`] — small strongly-typed index newtypes and a typed id
-//!   generator used for streams, scopes, tasks and events.
+//!   generator used for streams, scopes, tasks and events;
+//! * [`codec`] — the one envelope, field codec and image directory
+//!   behind every `CCM2*` byte format, on disk and on the wire.
 //!
 //! # Examples
 //!
@@ -26,6 +28,7 @@
 //! assert_eq!(interner.resolve(a), "WriteInt");
 //! ```
 
+pub mod codec;
 pub mod defs;
 pub mod diag;
 pub mod hash;
