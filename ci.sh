@@ -89,18 +89,23 @@ echo "== chaosnet: seeded network-fault drill matrix =="
 # membership must converge to one image. The stalled-peer cells (tcp,
 # wall clock) stop a shard's handler while it still accepts: eviction
 # within (evict_misses + 1) x period plus slack, 0 lost, 0 hangs.
+# The drill runs five times in a row, each run gated: its replication
+# and heartbeat races show up across runs, not in one.
 cargo test -q --test chaosnet
-cargo run -q --release -p ccm2-bench --bin reproduce -- chaosnet
-grep -q '"schema":"ccm2-bench/chaosnet/v2"' BENCH_chaosnet.json
-grep -q '"lost":0' BENCH_chaosnet.json
-grep -q '"mismatched":0' BENCH_chaosnet.json
-grep -q '"hangs":0' BENCH_chaosnet.json
-grep -q '"split_brain"' BENCH_chaosnet.json
-grep -q '"two_leader_epochs":0' BENCH_chaosnet.json
-grep -q '"divergent_membership":0' BENCH_chaosnet.json
-# Stalled peers: a shard that accepts but never answers is evicted by
-# the probe deadline and its blocked calls fail over.
-grep -q '"stalled_peer":{"lost":0,"hangs":0,"cells":\[{' BENCH_chaosnet.json
+for _ in 1 2 3 4 5; do
+  rm -f BENCH_chaosnet.json
+  cargo run -q --release -p ccm2-bench --bin reproduce -- chaosnet
+  grep -q '"schema":"ccm2-bench/chaosnet/v2"' BENCH_chaosnet.json
+  grep -q '"lost":0' BENCH_chaosnet.json
+  grep -q '"mismatched":0' BENCH_chaosnet.json
+  grep -q '"hangs":0' BENCH_chaosnet.json
+  grep -q '"split_brain"' BENCH_chaosnet.json
+  grep -q '"two_leader_epochs":0' BENCH_chaosnet.json
+  grep -q '"divergent_membership":0' BENCH_chaosnet.json
+  # Stalled peers: a shard that accepts but never answers is evicted by
+  # the probe deadline and its blocked calls fail over.
+  grep -q '"stalled_peer":{"lost":0,"hangs":0,"cells":\[{' BENCH_chaosnet.json
+done
 
 echo "== DKY strategies: simulator totals are deterministic =="
 # Virtual time depends only on the input: the Avoidance waits follow the

@@ -11,8 +11,15 @@
 //! evaluation host has one CPU, so wall-clock speedup is unobservable;
 //! the simulator executes the real compiler tasks and charges their real
 //! work (see DESIGN.md's substitution table).
+//!
+//! The service, fleet and fault drills build on [`drill`], the library
+//! they share with the root integration tests.
 
 use std::sync::Arc;
+
+pub mod drill;
+
+use drill::{exec_name, fault_compile, fault_module, unit_map};
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Executor, Options};
 use ccm2_sched::{render_watchtool, SimConfig};
@@ -600,9 +607,7 @@ pub fn dky_strategies() -> String {
 }
 
 /// §2.4: heading alternative 3 (reprocess in both scopes) vs alternative 1
-/// (copy to child) — paper: about 3% slower — plus the dual mode (copy +
-/// child-side verification), which pays the verification in the child
-/// where alternative 3 already parses the heading.
+/// (copy to child) — paper: about 3% slower.
 pub fn heading_alternatives() -> String {
     let suite = generate_suite();
     let subset: Vec<&GeneratedModule> = suite.iter().skip(18).collect();
@@ -610,7 +615,6 @@ pub fn heading_alternatives() -> String {
     let mut totals = Vec::new();
     for (label, mode) in [
         ("alternative 1 (copy to child)", HeadingMode::CopyToChild),
-        ("dual (copy + child verify)", HeadingMode::Dual),
         ("alternative 3 (reprocess)", HeadingMode::Reprocess),
     ] {
         let total: u64 = subset
@@ -634,12 +638,7 @@ pub fn heading_alternatives() -> String {
     }
     out.push_str(&format!(
         "alternative 3 slower by: {:.1}% (paper: about 3%)\n",
-        (totals[2] as f64 / totals[0] as f64 - 1.0) * 100.0
-    ));
-    out.push_str(&format!(
-        "dual verification overhead: {:.1}% (bounded by alternative 3's {:.1}%)\n",
-        (totals[1] as f64 / totals[0] as f64 - 1.0) * 100.0,
-        (totals[2] as f64 / totals[0] as f64 - 1.0) * 100.0
+        (totals[1] as f64 / totals[0] as f64 - 1.0) * 100.0
     ));
     out
 }
@@ -1198,9 +1197,8 @@ pub fn serve_with(
     load: &ccm2_workload::ServeLoadParams,
     config: ccm2_serve::ServeConfig,
 ) -> String {
-    use ccm2_serve::{CompileRequest, CompileService, ExecChoice, Response};
+    use ccm2_serve::{CompileRequest, CompileService, ExecChoice};
     use ccm2_workload::serve_load;
-    use std::collections::HashMap;
 
     let mut out =
         String::from("Compile service (ccm2-serve): seeded many-client edit/rebuild load\n");
@@ -1222,20 +1220,11 @@ pub fn serve_with(
     let svc = CompileService::start(config);
     for strategy in DkyStrategy::ALL {
         for exec in execs {
-            let req = CompileRequest {
-                client: 0,
-                module: probe.name.clone(),
-                source: probe.source.clone(),
-                defs: Arc::new(probe.defs.clone()),
-                strategy,
-                exec,
-                analyze: false,
-                faults: None,
-                task_deadline: None,
-                max_stream_retries: 0,
-            };
+            let defs = Arc::new(probe.defs.clone());
+            let mut req = CompileRequest::new(0, &probe.name, &probe.source, defs);
+            (req.strategy, req.exec) = (strategy, exec);
             let served = svc.submit(req.clone()).ticket().expect("admitted").wait();
-            let standalone = standalone_compile(&req);
+            let standalone = drill::standalone_compile(&req);
             assert_eq!(
                 (served.object.clone(), served.diagnostics.clone()),
                 standalone,
@@ -1254,63 +1243,21 @@ pub fn serve_with(
     drop(svc);
 
     // Part 2 — the seeded load, fresh service. Shed requests are
-    // resubmitted in the next wave (the client back-off protocol).
-    let events = serve_load(load);
+    // resubmitted in the next wave (the client back-off protocol), and
+    // every served response must match the standalone compile of its
+    // (project, revision).
+    let requests = drill::requests(&serve_load(load), ExecChoice::Sim(4));
+    let expected = drill::expected(&requests);
     let svc = CompileService::start(config);
-    let mk_request = |e: &ccm2_workload::ServeEvent| CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(4),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    };
-
-    // Expected bytes per unique (project, revision), from standalone
-    // compiles — every served response must match.
-    let mut expected: HashMap<ccm2_support::hash::Fp128, (Option<Vec<u8>>, Vec<String>)> =
-        HashMap::new();
-    for e in &events {
-        let req = mk_request(e);
-        expected
-            .entry(req.fingerprint())
-            .or_insert_with(|| standalone_compile(&req));
-    }
-
     let started = std::time::Instant::now();
-    let mut pending: Vec<CompileRequest> = events.iter().map(mk_request).collect();
-    let mut waves = 0usize;
-    let mut served = 0usize;
-    let mut mismatches = 0usize;
-    while !pending.is_empty() {
-        waves += 1;
-        assert!(waves <= 1 + events.len(), "shed requests must drain");
-        let batch = std::mem::take(&mut pending);
-        let requests = batch.clone();
-        for (req, resp) in requests.into_iter().zip(svc.serve_batch(batch)) {
-            match resp {
-                Response::Done(outcome) => {
-                    served += 1;
-                    assert!(outcome.ok, "{:?}", outcome.diagnostics);
-                    let want = &expected[&req.fingerprint()];
-                    if (outcome.object.clone(), outcome.diagnostics.clone()) != *want {
-                        mismatches += 1;
-                    }
-                }
-                Response::Retry => pending.push(req),
-            }
-        }
-    }
+    let (_, waves) = drill::drain(&requests, Some(&expected), |batch| {
+        svc.serve_batch(batch.to_vec())
+    });
     let elapsed = started.elapsed();
-    assert_eq!(mismatches, 0, "served bytes must match standalone compiles");
+    let served = requests.len();
 
     let stats = svc.stats();
     let store = svc.store().stats();
-    assert_eq!(served, events.len(), "no request lost");
     assert!(store.peak_bytes <= store.budget, "budget invariant");
     out.push_str(&format!(
         "\nload: {} events served in {} waves, 0 lost, 0 mismatched vs standalone\n",
@@ -1344,29 +1291,6 @@ pub fn serve_with(
     out
 }
 
-/// A standalone (serviceless, storeless) compile of `req`, in the same
-/// comparable encoding the service reports.
-fn standalone_compile(req: &ccm2_serve::CompileRequest) -> (Option<Vec<u8>>, Vec<String>) {
-    let out = compile_concurrent(
-        &req.source,
-        Arc::clone(&req.defs) as Arc<dyn ccm2_support::defs::DefProvider>,
-        Arc::new(Interner::new()),
-        Options {
-            strategy: req.strategy,
-            executor: req.exec.to_executor(),
-            analyze: req.analyze,
-            incremental: None,
-            ..Options::default()
-        },
-    );
-    ccm2_incr::comparable_output(
-        out.image.as_ref(),
-        &out.diagnostics,
-        &out.sources,
-        &out.interner,
-    )
-}
-
 // ---- fabric fleet drill --------------------------------------------------
 
 /// The `reproduce -- fabric` drill: a shard-count sweep of the loopback
@@ -1398,13 +1322,11 @@ pub fn fabric_with(
     sweep: &[usize],
     json_path: Option<&std::path::Path>,
 ) -> String {
-    use ccm2_fabric::{Fabric, FabricResponse};
+    use ccm2_fabric::Fabric;
     use ccm2_serve::{
-        CompileRequest, CompileService, DeltaJournal, ExecChoice, Response, ServeConfig,
-        SnapshotStore,
+        CompileRequest, CompileService, DeltaJournal, ExecChoice, ServeConfig, SnapshotStore,
     };
     use ccm2_workload::{serve_load, shard_kill_schedule};
-    use std::collections::HashMap;
 
     let config = ServeConfig {
         workers: 2,
@@ -1424,60 +1346,15 @@ pub fn fabric_with(
         config.workers, config.queue_capacity, config.store_budget
     ));
 
-    let events = serve_load(load);
-    let mk_request = |e: &ccm2_workload::ServeEvent| CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(4),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    };
-
     // Ground truth: standalone compiles per unique fingerprint. Every
     // routed response in every part below must match these bytes.
-    let mut expected: HashMap<ccm2_support::hash::Fp128, (Option<Vec<u8>>, Vec<String>)> =
-        HashMap::new();
-    for e in &events {
-        let req = mk_request(e);
-        expected
-            .entry(req.fingerprint())
-            .or_insert_with(|| standalone_compile(&req));
-    }
-
+    let requests = drill::requests(&serve_load(load), ExecChoice::Sim(4));
+    let expected = drill::expected(&requests);
+    let events = requests.len();
     // Drives `reqs` through the fleet with the wave/back-off protocol;
     // asserts zero lost and byte-identical to standalone. Returns waves.
-    let drive = |fabric: &Fabric, reqs: &[CompileRequest]| -> usize {
-        let mut pending: Vec<CompileRequest> = reqs.to_vec();
-        let mut waves = 0usize;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 1 + reqs.len(), "fabric retry protocol must drain");
-            let batch = std::mem::take(&mut pending);
-            let resubmit = batch.clone();
-            for (req, resp) in resubmit
-                .into_iter()
-                .zip(fabric.router().serve_batch(&batch))
-            {
-                match resp {
-                    FabricResponse::Done(o) => {
-                        assert!(o.ok, "{:?}", o.diagnostics);
-                        let want = &expected[&req.fingerprint()];
-                        assert!(
-                            (o.object.clone(), o.diagnostics.clone()) == *want,
-                            "routed bytes diverged from standalone for {}",
-                            req.module
-                        );
-                    }
-                    FabricResponse::Retry { .. } => pending.push(req),
-                }
-            }
-        }
-        waves
+    let drive = |fabric: &Fabric, reqs: &[CompileRequest]| {
+        drill::drain(reqs, Some(&expected), |b| fabric.router().serve_batch(b)).1
     };
 
     // Part 1 — shard-count sweep.
@@ -1488,16 +1365,15 @@ pub fn fabric_with(
     out.push_str(
         "  -------+-------+---------+-------+--------------+----------------+------------\n",
     );
-    let mut sweep_json = String::new();
+    let mut sweep_json = Vec::new();
     for &n in sweep {
         let fabric = Fabric::start(n, config);
-        let requests: Vec<CompileRequest> = events.iter().map(&mk_request).collect();
         let started = std::time::Instant::now();
         let waves = drive(&fabric, &requests);
         let elapsed = started.elapsed();
         let rstats = fabric.router().stats();
         let compiles = fabric.total_compiles();
-        let rps = events.len() as f64 / elapsed.as_secs_f64().max(1e-9);
+        let rps = events as f64 / elapsed.as_secs_f64().max(1e-9);
         out.push_str(&format!(
             "  {:>6} | {:>5} | {:>7} | {:>5.0} | {:>12} | {:>14} | {:>11}\n",
             n,
@@ -1508,35 +1384,25 @@ pub fn fabric_with(
             compiles,
             rstats.ships
         ));
-        if !sweep_json.is_empty() {
-            sweep_json.push(',');
-        }
-        sweep_json.push_str(&format!(
-            "{{\"shards\":{n},\"events\":{},\"waves\":{waves},\"wall_micros\":{},\"throughput_rps\":{rps:.1},\"router_joined\":{},\"fleet_compiles\":{compiles},\"delta_ships\":{}}}",
-            events.len(),
+        sweep_json.push(format!(
+            "{{\"shards\":{n},\"events\":{events},\"waves\":{waves},\"wall_micros\":{},\"throughput_rps\":{rps:.1},\"router_joined\":{},\"fleet_compiles\":{compiles},\"delta_ships\":{}}}",
             elapsed.as_micros(),
             rstats.joined,
             rstats.ships
         ));
     }
+    let sweep_json = sweep_json.join(",");
 
     // Part 2 — seeded mid-stream shard kill at 3 shards.
     let shards = 3usize;
     let (kill_at, victim) = shard_kill_schedule(load, shards as u32, 1)
         .first()
         .copied()
-        .unwrap_or((events.len() / 2, 0));
+        .unwrap_or((events / 2, 0));
     let fabric = Fabric::start(shards, config);
-    let head: Vec<CompileRequest> = events[..kill_at].iter().map(&mk_request).collect();
-    let tail: Vec<CompileRequest> = events[kill_at..].iter().map(&mk_request).collect();
-    drive(&fabric, &head);
-    let t0 = std::time::Instant::now();
-    fabric.router().kill_shard(victim);
-    let failover = t0.elapsed();
-    drive(&fabric, &tail);
-    let live = fabric.router().live_shards();
-    assert!(!live.contains(&victim), "victim must leave the ring");
-    assert_eq!(live.len(), shards - 1);
+    drive(&fabric, &requests[..kill_at]);
+    let failover = drill::kill(&fabric, victim);
+    drive(&fabric, &requests[kill_at..]);
     let absorbed: u64 = fabric
         .nodes()
         .iter()
@@ -1557,7 +1423,7 @@ pub fn fabric_with(
     out.push_str(&format!(
         "  served {}+{} events across the kill: 0 lost, 0 mismatched vs standalone\n",
         kill_at,
-        events.len() - kill_at
+        events - kill_at
     ));
 
     // Part 3 — restart from snapshot + delta replay, cheaper than a
@@ -1567,33 +1433,20 @@ pub fn fabric_with(
     let snaps = SnapshotStore::new(dir.join("snap")).expect("snapshot dir");
     let journal = DeltaJournal::new(dir.join("delta")).expect("journal dir");
     let svc = CompileService::start(config);
-    let serve_half = |svc: &CompileService, half: &[ccm2_workload::ServeEvent]| {
-        let mut pending: Vec<CompileRequest> = half.iter().map(&mk_request).collect();
-        let mut waves = 0usize;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 1 + half.len(), "restart drill must drain");
-            let batch = std::mem::take(&mut pending);
-            let resubmit = batch.clone();
-            for (req, resp) in resubmit.into_iter().zip(svc.serve_batch(batch)) {
-                match resp {
-                    Response::Done(o) => assert!(o.ok, "{:?}", o.diagnostics),
-                    Response::Retry => pending.push(req),
-                }
-            }
-        }
+    let serve_half = |svc: &CompileService, half: &[CompileRequest]| {
+        drill::drain(half, Some(&expected), |b| svc.serve_batch(b.to_vec()))
     };
     // The production cadence: the journal ships continuously, snapshots
     // cut occasionally. A restart reads the newest snapshot plus only
     // the journal tail past its cut — so the tail, not the whole
     // journal, is the incremental restart cost.
-    let cut = events.len() * 3 / 4;
-    serve_half(&svc, &events[..cut]);
+    let cut = events * 3 / 4;
+    serve_half(&svc, &requests[..cut]);
     svc.journal_deltas(&journal, &snaps)
         .expect("journal the head");
     snaps.save(svc.store()).expect("snapshot at the cut");
     let journal_bytes_at_cut = journal.total_bytes().expect("journal size at cut");
-    serve_half(&svc, &events[cut..]);
+    serve_half(&svc, &requests[cut..]);
     let shipped = svc
         .journal_deltas(&journal, &snaps)
         .expect("journal the tail");
@@ -1648,66 +1501,6 @@ pub fn fabric_with(
 }
 
 // ---- chaosnet: seeded network-fault drill matrix -------------------------
-
-/// Either side of the chaosnet matrix: the deterministic loopback (link
-/// faults via `ccm2-faults` sites) or real TCP sockets (explicit
-/// partition switches). One enum so each drill cell runs the identical
-/// script on both.
-enum ChaosNet {
-    Loopback(Arc<ccm2_fabric::LoopbackTransport>),
-    Tcp {
-        transport: Arc<ccm2_fabric::TcpTransport>,
-        servers: Vec<ccm2_fabric::TcpShardServer>,
-    },
-}
-
-impl ChaosNet {
-    fn new(tcp: bool) -> ChaosNet {
-        if tcp {
-            ChaosNet::Tcp {
-                transport: Arc::new(ccm2_fabric::TcpTransport::new()),
-                servers: Vec::new(),
-            }
-        } else {
-            ChaosNet::Loopback(Arc::new(ccm2_fabric::LoopbackTransport::new()))
-        }
-    }
-
-    fn register(&mut self, node: &Arc<ccm2_fabric::ShardNode>) {
-        let handler = Arc::clone(node) as Arc<dyn ccm2_fabric::FrameHandler>;
-        match self {
-            ChaosNet::Loopback(t) => t.register(node.id(), handler),
-            ChaosNet::Tcp { transport, servers } => {
-                let server = ccm2_fabric::TcpShardServer::serve(handler).expect("tcp shard server");
-                transport.register(node.id(), server.addr());
-                servers.push(server);
-            }
-        }
-    }
-
-    fn transport(&self) -> Arc<dyn ccm2_fabric::Transport> {
-        match self {
-            ChaosNet::Loopback(t) => Arc::clone(t) as Arc<dyn ccm2_fabric::Transport>,
-            ChaosNet::Tcp { transport, .. } => {
-                Arc::clone(transport) as Arc<dyn ccm2_fabric::Transport>
-            }
-        }
-    }
-
-    /// Opens (`true`) or heals (`false`) a standing partition of the
-    /// link to `shard`.
-    fn cut(&self, shard: u32, on: bool) {
-        match self {
-            ChaosNet::Loopback(t) => t.set_link_faults(on.then(|| {
-                Arc::new(ccm2_faults::FaultPlan::single(
-                    format!("link:{shard}#c*"),
-                    ccm2_faults::FaultKind::Panic,
-                ))
-            })),
-            ChaosNet::Tcp { transport, .. } => transport.set_partitioned(shard, on),
-        }
-    }
-}
 
 /// One cell of the chaosnet matrix (a seed on a transport), reduced to
 /// the numbers the report and `BENCH_chaosnet.json` carry. Every cell
@@ -1764,27 +1557,39 @@ pub fn chaosnet_with(
     out.push_str(
         "  -------+-----------+-------------+-----------+--------------+----------+-------\n",
     );
-    let mut cells = Vec::new();
+    let mut cell_json = Vec::new();
     for &seed in seeds {
         for tcp in [false, true] {
-            let cell = chaosnet_cell(seed, tcp);
+            let c = chaosnet_cell(seed, tcp);
             out.push_str(&format!(
                 "  {:#6x} | {:>9} | {:>11} | {:>4}/{:<4} | {:>12} | {:>8} | {:>6}\n",
-                cell.seed,
-                cell.transport,
-                cell.ticks_to_evict,
-                cell.warm_hits,
-                cell.warm_lookups,
-                cell.restored_parked_ops,
-                cell.absorbed_after_restart,
-                cell.events,
+                c.seed,
+                c.transport,
+                c.ticks_to_evict,
+                c.warm_hits,
+                c.warm_lookups,
+                c.restored_parked_ops,
+                c.absorbed_after_restart,
+                c.events,
             ));
-            cells.push(cell);
+            cell_json.push(format!(
+                "{{\"seed\":{},\"transport\":\"{}\",\"events\":{},\"victim\":{},\"ticks_to_evict\":{},\"warm_hits\":{},\"warm_lookups\":{},\"restored_parked_ops\":{},\"absorbed_after_restart\":{},\"rlog_writes\":{},\"lost\":0,\"mismatched\":0,\"hangs\":0}}",
+                c.seed,
+                c.transport,
+                c.events,
+                c.victim,
+                c.ticks_to_evict,
+                c.warm_hits,
+                c.warm_lookups,
+                c.restored_parked_ops,
+                c.absorbed_after_restart,
+                c.rlog_writes,
+            ));
         }
     }
     out.push_str(&format!(
         "  {} cells: 0 lost admitted requests, 0 hangs, 0 mismatched vs standalone\n",
-        cells.len()
+        cell_json.len()
     ));
 
     // Split-brain matrix: the same seeds on both transports, each
@@ -1799,7 +1604,7 @@ pub fn chaosnet_with(
     out.push_str(
         "  -------+-----------+-----------+-------+---------------+-----------+--------------\n",
     );
-    let mut sb_cells = Vec::new();
+    let mut sb_json = Vec::new();
     for &seed in seeds {
         for tcp in [false, true] {
             for kind in [
@@ -1807,24 +1612,36 @@ pub fn chaosnet_with(
                 ccm2_workload::RouterDrillKind::Partition,
                 ccm2_workload::RouterDrillKind::Duel,
             ] {
-                let cell = split_brain_cell(seed, tcp, kind);
+                let c = split_brain_cell(seed, tcp, kind);
                 out.push_str(&format!(
                     "  {:#6x} | {:>9} | {:>9} | {:>5} | {:>13} | {:>9} | {:>13}\n",
-                    cell.seed,
-                    cell.transport,
-                    cell.kind,
-                    cell.promoted_epoch,
-                    cell.promote_ticks,
-                    cell.client_rotations,
-                    cell.epoch_rejects,
+                    c.seed,
+                    c.transport,
+                    c.kind,
+                    c.promoted_epoch,
+                    c.promote_ticks,
+                    c.client_rotations,
+                    c.epoch_rejects,
                 ));
-                sb_cells.push(cell);
+                sb_json.push(format!(
+                    "{{\"seed\":{},\"transport\":\"{}\",\"drill\":\"{}\",\"events\":{},\"promoted_epoch\":{},\"promote_ticks\":{},\"demotions\":{},\"epoch_rejects\":{},\"client_rotations\":{},\"transcript_lines\":{},\"two_leader_epochs\":0,\"divergent_membership\":0,\"lost\":0,\"hangs\":0}}",
+                    c.seed,
+                    c.transport,
+                    c.kind,
+                    c.events,
+                    c.promoted_epoch,
+                    c.promote_ticks,
+                    c.a_demotions,
+                    c.epoch_rejects,
+                    c.client_rotations,
+                    c.transcript.len(),
+                ));
             }
         }
     }
     out.push_str(&format!(
         "  {} cells: 0 lost, 0 hangs, no epoch with two leaders, membership converged\n",
-        sb_cells.len()
+        sb_json.len()
     ));
 
     // Wall-clock detector smoke: the same eviction on real sockets and
@@ -1848,85 +1665,43 @@ pub fn chaosnet_with(
     out.push_str(
         "  -------+--------+------------+--------+-------------+---------------+-------\n",
     );
-    let mut stall_cells = Vec::new();
+    let mut stall_json = Vec::new();
     for &seed in seeds {
-        let cell = stalled_peer_cell(seed, heartbeat_ms);
+        let c = stalled_peer_cell(seed, heartbeat_ms);
         out.push_str(&format!(
             "  {:#6x} | {:>6} | {:>7} ms | {:>3} ms | {:>11} | {:>13} | {:>6}\n",
-            cell.seed,
-            cell.victim,
-            cell.evicted_in.as_millis(),
-            cell.bound.as_millis(),
-            cell.held_frames,
-            cell.held_compiles,
-            cell.events,
+            c.seed,
+            c.victim,
+            c.evicted_in.as_millis(),
+            c.bound.as_millis(),
+            c.held_frames,
+            c.held_compiles,
+            c.events,
         ));
-        stall_cells.push(cell);
+        stall_json.push(format!(
+            "{{\"seed\":{},\"transport\":\"tcp\",\"events\":{},\"victim\":{},\"heartbeat_ms\":{},\"evicted_in_micros\":{},\"bound_micros\":{},\"held_frames\":{},\"held_compiles\":{},\"lost\":0,\"mismatched\":0,\"hangs\":0}}",
+            c.seed,
+            c.events,
+            c.victim,
+            c.heartbeat_ms,
+            c.evicted_in.as_micros(),
+            c.bound.as_micros(),
+            c.held_frames,
+            c.held_compiles,
+        ));
     }
     out.push_str(&format!(
         "  {} cells: evicted within bound, 0 lost, 0 hangs, byte-identical to standalone\n",
-        stall_cells.len()
+        stall_json.len()
     ));
 
     if let Some(path) = json_path {
-        let mut cell_json = String::new();
-        for c in &cells {
-            if !cell_json.is_empty() {
-                cell_json.push(',');
-            }
-            cell_json.push_str(&format!(
-                "{{\"seed\":{},\"transport\":\"{}\",\"events\":{},\"victim\":{},\"ticks_to_evict\":{},\"warm_hits\":{},\"warm_lookups\":{},\"restored_parked_ops\":{},\"absorbed_after_restart\":{},\"rlog_writes\":{},\"lost\":0,\"mismatched\":0,\"hangs\":0}}",
-                c.seed,
-                c.transport,
-                c.events,
-                c.victim,
-                c.ticks_to_evict,
-                c.warm_hits,
-                c.warm_lookups,
-                c.restored_parked_ops,
-                c.absorbed_after_restart,
-                c.rlog_writes,
-            ));
-        }
-        let mut sb_json = String::new();
-        for c in &sb_cells {
-            if !sb_json.is_empty() {
-                sb_json.push(',');
-            }
-            sb_json.push_str(&format!(
-                "{{\"seed\":{},\"transport\":\"{}\",\"drill\":\"{}\",\"events\":{},\"promoted_epoch\":{},\"promote_ticks\":{},\"demotions\":{},\"epoch_rejects\":{},\"client_rotations\":{},\"transcript_lines\":{},\"two_leader_epochs\":0,\"divergent_membership\":0,\"lost\":0,\"hangs\":0}}",
-                c.seed,
-                c.transport,
-                c.kind,
-                c.events,
-                c.promoted_epoch,
-                c.promote_ticks,
-                c.a_demotions,
-                c.epoch_rejects,
-                c.client_rotations,
-                c.transcript.len(),
-            ));
-        }
-        let mut stall_json = String::new();
-        for c in &stall_cells {
-            if !stall_json.is_empty() {
-                stall_json.push(',');
-            }
-            stall_json.push_str(&format!(
-                "{{\"seed\":{},\"transport\":\"tcp\",\"events\":{},\"victim\":{},\"heartbeat_ms\":{},\"evicted_in_micros\":{},\"bound_micros\":{},\"held_frames\":{},\"held_compiles\":{},\"lost\":0,\"mismatched\":0,\"hangs\":0}}",
-                c.seed,
-                c.events,
-                c.victim,
-                c.heartbeat_ms,
-                c.evicted_in.as_micros(),
-                c.bound.as_micros(),
-                c.held_frames,
-                c.held_compiles,
-            ));
-        }
         let json = format!(
-            "{{\"schema\":\"ccm2-bench/chaosnet/v2\",\"cells\":[{cell_json}],\"split_brain\":{{\"cells\":[{sb_json}],\"two_leader_epochs\":0,\"divergent_membership\":0}},\"wall_clock\":{{\"heartbeat_ms\":{heartbeat_ms},\"evicted_in_micros\":{}}},\"stalled_peer\":{{\"lost\":0,\"hangs\":0,\"cells\":[{stall_json}]}},\"lost\":0,\"mismatched\":0,\"hangs\":0}}\n",
-            wall.as_micros()
+            "{{\"schema\":\"ccm2-bench/chaosnet/v2\",\"cells\":[{}],\"split_brain\":{{\"cells\":[{}],\"two_leader_epochs\":0,\"divergent_membership\":0}},\"wall_clock\":{{\"heartbeat_ms\":{heartbeat_ms},\"evicted_in_micros\":{}}},\"stalled_peer\":{{\"lost\":0,\"hangs\":0,\"cells\":[{}]}},\"lost\":0,\"mismatched\":0,\"hangs\":0}}\n",
+            cell_json.join(","),
+            sb_json.join(","),
+            wall.as_micros(),
+            stall_json.join(","),
         );
         std::fs::write(path, json).expect("write BENCH_chaosnet.json");
         out.push_str(&format!("\nwrote {}\n", path.display()));
@@ -1936,12 +1711,9 @@ pub fn chaosnet_with(
 
 /// One chaosnet cell; see [`chaosnet`] for the script it runs.
 fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
-    use ccm2_fabric::{
-        FabricResponse, FabricRouter, HealthState, HeartbeatConfig, ReplicaLogStore, ShardNode,
-    };
+    use ccm2_fabric::{Fabric, HashRing, DEFAULT_VNODES};
     use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
     use ccm2_workload::{serve_load, shard_partition_schedule, ServeLoadParams};
-    use std::collections::HashMap;
 
     const SHARDS: u32 = 3;
     const JOINER: u32 = 9;
@@ -1959,53 +1731,13 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
         store_budget: 128 * 1024,
         ..ServeConfig::default()
     };
-    let events = serve_load(&params);
-    let mk_request = |e: &ccm2_workload::ServeEvent| CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(4),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    };
-    let mut expected: HashMap<ccm2_support::hash::Fp128, (Option<Vec<u8>>, Vec<String>)> =
-        HashMap::new();
-    for e in &events {
-        let req = mk_request(e);
-        expected
-            .entry(req.fingerprint())
-            .or_insert_with(|| standalone_compile(&req));
-    }
+    let requests = drill::requests(&serve_load(&params), ExecChoice::Sim(4));
+    let expected = drill::expected(&requests);
     // The drive protocol with the hang guard and byte-identity check:
     // every admitted request must come back `Done` with the standalone
     // bytes within a bounded number of retry waves.
-    let drive = |router: &FabricRouter, slice: &[ccm2_workload::ServeEvent]| {
-        let mut pending: Vec<CompileRequest> = slice.iter().map(&mk_request).collect();
-        let mut waves = 0usize;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 1 + slice.len(), "chaosnet drive must drain (hang)");
-            let batch = std::mem::take(&mut pending);
-            let resubmit = batch.clone();
-            for (req, resp) in resubmit.into_iter().zip(router.serve_batch(&batch)) {
-                match resp {
-                    FabricResponse::Done(o) => {
-                        assert!(o.ok, "{:?}", o.diagnostics);
-                        let want = &expected[&req.fingerprint()];
-                        assert!(
-                            (o.object.clone(), o.diagnostics.clone()) == *want,
-                            "chaosnet bytes diverged from standalone for {}",
-                            req.module
-                        );
-                    }
-                    FabricResponse::Retry { .. } => pending.push(req),
-                }
-            }
-        }
+    let drive = |fabric: &Fabric, slice: &[CompileRequest]| {
+        drill::drain(slice, Some(&expected), |b| fabric.router().serve_batch(b));
     };
 
     let dir = std::env::temp_dir().join(format!(
@@ -2014,109 +1746,74 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
         if tcp { "tcp" } else { "loop" }
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mk_node = |id: u32| -> Arc<ShardNode> {
-        let rlogs = ReplicaLogStore::new(dir.join(format!("rlog-{id}"))).expect("rlog dir");
-        Arc::new(
-            ShardNode::start(id, config)
-                .with_durable_log(rlogs)
-                .expect("durable replica logs"),
-        )
-    };
-    let nodes: Vec<Arc<ShardNode>> = (0..SHARDS).map(mk_node).collect();
-    let mut net = ChaosNet::new(tcp);
-    for node in &nodes {
-        net.register(node);
-    }
-    let heartbeat = HeartbeatConfig {
-        suspect_misses: 1,
-        evict_misses: 2,
-    };
-    let router = FabricRouter::new(net.transport()).with_heartbeat(heartbeat);
+    let mut fabric = Fabric::launch(SHARDS, config, tcp, Some(&dir))
+        .expect("fleet with durable replica logs")
+        .with_router(|r| r.with_heartbeat(drill::CHAOS_HEARTBEAT));
 
     // The partition window is drawn over the first two-thirds of the
     // load so the final third is always the cold joiner's first batch.
+    let two_thirds = params.events * 2 / 3;
     let sched_params = ServeLoadParams {
-        events: params.events * 2 / 3,
+        events: two_thirds,
         ..params
     };
     let window = shard_partition_schedule(&sched_params, SHARDS, 1)[0];
     let victim = window.shard;
 
     // Phase 1 — healthy fleet up to the partition point.
-    drive(&router, &events[..window.from]);
+    drive(&fabric, &requests[..window.from]);
 
     // Phase 2 — the link to the victim drops; the detector suspects,
     // then evicts, in a deterministic number of virtual-time ticks.
-    net.cut(victim, true);
-    let mut ticks = 0usize;
-    while router.health(victim) != HealthState::Evicted {
-        ticks += 1;
-        assert!(ticks <= 4, "failure detector hung past its miss budget");
-        router.heartbeat_tick();
-    }
-    assert_eq!(
-        ticks, heartbeat.evict_misses as usize,
-        "deterministic clock"
-    );
-    assert!(
-        !router.live_shards().contains(&victim),
-        "evicted shard still owns keys"
-    );
-    drive(&router, &events[window.from..window.until]);
+    let ticks = drill::partition_and_evict(&fabric, victim);
+    drive(&fabric, &requests[window.from..window.until]);
 
     // Phase 3 — heal and warm-rejoin the victim through admit_shard.
-    net.cut(victim, false);
-    router.admit_shard(victim);
-    assert_eq!(router.health(victim), HealthState::Alive);
-    drive(&router, &events[window.until..params.events * 2 / 3]);
+    drill::heal_and_rejoin(&fabric, victim);
+    drive(&fabric, &requests[window.until..two_thirds]);
 
     // Warm probes: the seeded load reuses a handful of fingerprints, so
     // on an unlucky seed the consistent-hash ring may hand the joiner
     // none of them. Synthesize modules the post-join ring provably
     // routes to the joiner and serve them now, pre-join, so they land
     // warm in a current member's store (and thus in the head-ship
-    // image). Their post-join replay is guaranteed joiner traffic.
-    let post_join_ring =
-        ccm2_fabric::HashRing::new(&[0, 1, 2, JOINER], ccm2_fabric::DEFAULT_VNODES);
-    let mk_probe = |n: u32| {
-        let mut req = CompileRequest::new(
-            u64::from(n),
-            format!("ChaosProbe{n}"),
-            format!("MODULE ChaosProbe{n}; VAR x: INTEGER; BEGIN x := {n}; END ChaosProbe{n}."),
-            Arc::new(ccm2_support::defs::DefLibrary::new()),
-        );
-        req.exec = ExecChoice::Sim(4);
-        req
-    };
+    // image). Their post-join replay is guaranteed joiner traffic. An
+    // idle fleet must serve every probe without shedding it.
+    let post_join_ring = HashRing::new(&[0, 1, 2, JOINER], DEFAULT_VNODES);
     let probes: Vec<CompileRequest> = (0..200u32)
-        .map(mk_probe)
+        .map(|n| {
+            let mut req = CompileRequest::new(
+                u64::from(n),
+                format!("ChaosProbe{n}"),
+                format!("MODULE ChaosProbe{n}; VAR x: INTEGER; BEGIN x := {n}; END ChaosProbe{n}."),
+                Arc::new(ccm2_support::defs::DefLibrary::new()),
+            );
+            req.exec = ExecChoice::Sim(4);
+            req
+        })
         .filter(|req| post_join_ring.route(req.fingerprint()) == Some(JOINER))
         .take(6)
         .collect();
     assert!(!probes.is_empty(), "no probe routed to the joiner");
-    for resp in router.serve_batch(&probes) {
-        match resp {
-            FabricResponse::Done(o) => assert!(o.ok, "{:?}", o.diagnostics),
-            FabricResponse::Retry { .. } => panic!("probe shed by an idle fleet"),
+    let serve_probes = |fabric: &Fabric| {
+        for resp in fabric.router().serve_batch(&probes) {
+            let out = resp.outcome().expect("probe shed by an idle fleet");
+            assert!(out.ok, "{:?}", out.diagnostics);
         }
-    }
+    };
+    serve_probes(&fabric);
 
     // Phase 4 — cold join: the joiner is warmed (head-ship from every
     // member + delta catch-up) before the ring hands it keys, so its
     // first post-join batch — the final third of the load plus the
     // probe replays — must hit at least half the time.
-    let joiner = mk_node(JOINER);
-    net.register(&joiner);
-    router.admit_shard(JOINER);
+    let joiner = fabric.join(JOINER).expect("joiner");
+    fabric.router().admit_shard(JOINER);
     let before = joiner.service().store().stats();
-    drive(&router, &events[params.events * 2 / 3..]);
-    for resp in router.serve_batch(&probes) {
-        match resp {
-            FabricResponse::Done(o) => assert!(o.ok, "{:?}", o.diagnostics),
-            FabricResponse::Retry { .. } => panic!("probe replay shed by an idle fleet"),
-        }
-    }
+    drive(&fabric, &requests[two_thirds..]);
+    serve_probes(&fabric);
     let after = joiner.service().store().stats();
+    drop(joiner);
     let warm_hits = after.hits - before.hits;
     let warm_lookups = warm_hits + (after.misses - before.misses);
     assert!(warm_lookups > 0, "the joiner saw no post-join traffic");
@@ -2125,67 +1822,19 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
         "cold joiner served too cold: {warm_hits}/{warm_lookups} warm"
     );
 
-    // Phase 5 — crash-restart: drop the whole fleet (routers, sockets,
+    // Phase 5 — crash-restart: drop the whole fleet (router, sockets,
     // nodes) and rebuild the original shards from their durable
-    // CCM2RLOG stores. Every parked replica op must come back.
-    let parked = |nodes: &[Arc<ShardNode>]| -> Vec<Vec<usize>> {
-        nodes
-            .iter()
-            .map(|n| {
-                [0, 1, 2, JOINER]
-                    .iter()
-                    .map(|&o| n.replica_len(o))
-                    .collect()
-            })
-            .collect()
-    };
-    let parked_before = parked(&nodes);
-    let rlog_writes: u64 = nodes.iter().map(|n| n.stats().rlog_writes).sum();
-    let restored_parked_ops: usize = parked_before.iter().flatten().sum();
-    assert!(
-        restored_parked_ops > 0,
-        "no parked replica ops to survive the crash — the drill is vacuous"
-    );
-    drop(router);
-    drop(net);
-    drop(nodes);
-    drop(joiner);
-    let nodes: Vec<Arc<ShardNode>> = (0..SHARDS).map(mk_node).collect();
-    assert_eq!(
-        parked(&nodes),
-        parked_before,
-        "restart lost or invented parked replica ops"
-    );
-    let mut net = ChaosNet::new(tcp);
-    for node in &nodes {
-        net.register(node);
-    }
-    let router = FabricRouter::new(net.transport());
-    // Kill the origin with the most ops parked on its peers: the
+    // CCM2RLOG stores. Every parked replica op must come back, and the
     // failover absorb must replay the restored logs into live stores.
-    let origin = (0..SHARDS)
-        .max_by_key(|&o| {
-            nodes
-                .iter()
-                .filter(|n| n.id() != o)
-                .map(|n| n.replica_len(o))
-                .sum::<usize>()
-        })
-        .expect("three shards");
-    router.kill_shard(origin);
-    let absorbed_after_restart: u64 = nodes
+    let rlog_writes: u64 = fabric.nodes()[..SHARDS as usize]
         .iter()
-        .filter(|n| n.id() != origin)
-        .map(|n| n.stats().absorbed_ops)
+        .map(|n| n.stats().rlog_writes)
         .sum();
-    assert!(
-        absorbed_after_restart > 0,
-        "failover after restart absorbed nothing from the durable logs"
-    );
+    let (fabric, restored_parked_ops, absorbed_after_restart) =
+        drill::crash_restart_and_absorb(fabric, SHARDS);
     // The restarted, post-failover fleet still serves standalone bytes.
-    drive(&router, &events[..6]);
-    drop(router);
-    drop(net);
+    drive(&fabric, &requests[..6]);
+    drop(fabric);
     let _ = std::fs::remove_dir_all(&dir);
 
     ChaosCell {
@@ -2208,10 +1857,7 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
 /// (the zero-hangs guarantee on the non-virtual clock). Returns the
 /// observed partition-to-eviction latency.
 fn chaosnet_wall_clock(heartbeat_ms: u64) -> std::time::Duration {
-    use ccm2_fabric::{
-        start_heartbeats, FabricRouter, FrameHandler, HealthState, HeartbeatConfig, ShardNode,
-        TcpShardServer, TcpTransport, Transport,
-    };
+    use ccm2_fabric::{start_heartbeats, Fabric, HealthState};
     use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
     use ccm2_support::defs::DefLibrary;
 
@@ -2221,27 +1867,12 @@ fn chaosnet_wall_clock(heartbeat_ms: u64) -> std::time::Duration {
         store_budget: 64 * 1024,
         ..ServeConfig::default()
     };
-    let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-        .map(|id| Arc::new(ShardNode::start(id, config)))
-        .collect();
-    let transport = Arc::new(TcpTransport::new());
-    let mut servers: Vec<TcpShardServer> = Vec::new();
-    for node in &nodes {
-        let server =
-            TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>).expect("tcp server");
-        transport.register(node.id(), server.addr());
-        servers.push(server);
-    }
-    let router = Arc::new(
-        FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>).with_heartbeat(
-            HeartbeatConfig {
-                suspect_misses: 1,
-                evict_misses: 2,
-            },
-        ),
-    );
+    let fabric = Fabric::launch(3, config, true, None)
+        .expect("tcp fleet")
+        .with_router(|r| r.with_heartbeat(drill::CHAOS_HEARTBEAT));
+    let router = fabric.router();
     let handle = start_heartbeats(
-        Arc::clone(&router),
+        Arc::clone(router),
         std::time::Duration::from_millis(heartbeat_ms),
     );
     for m in 0..4 {
@@ -2255,7 +1886,7 @@ fn chaosnet_wall_clock(heartbeat_ms: u64) -> std::time::Duration {
         let resp = router.serve(&req);
         assert!(resp.outcome().expect("served under heartbeats").ok);
     }
-    transport.set_partitioned(1, true);
+    fabric.cut(1, true);
     let started = std::time::Instant::now();
     let deadline = std::time::Duration::from_millis(200 * heartbeat_ms.max(5));
     while router.health(1) != HealthState::Evicted {
@@ -2267,20 +1898,10 @@ fn chaosnet_wall_clock(heartbeat_ms: u64) -> std::time::Duration {
     }
     let elapsed = started.elapsed();
     drop(handle);
-    for server in &mut servers {
-        server.stop();
-    }
     elapsed
 }
 
 // ---- stalled peer: a shard that accepts but never answers --------------
-
-/// Slack on top of the `(evict_misses + 1) × period` eviction bound of a
-/// stalled peer: the other probes of a tick and the host's scheduling.
-const STALL_EVICT_SLACK: std::time::Duration = std::time::Duration::from_millis(250);
-
-/// A served batch that has not come back after this long is a hang.
-const STALL_HANG_AFTER: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// One stalled-peer cell (TCP, wall clock): what the report and the
 /// `stalled_peer` section of `BENCH_chaosnet.json` carry. The hard
@@ -2306,44 +1927,6 @@ pub struct StalledPeerCell {
     pub held_compiles: u64,
 }
 
-/// A shard handler with a stall switch: while stalled, every frame is
-/// held — the server still accepts connections, but nothing answers.
-struct StallSwitch {
-    inner: Arc<dyn ccm2_fabric::FrameHandler>,
-    stalled: std::sync::Mutex<bool>,
-    released: std::sync::Condvar,
-    held: std::sync::atomic::AtomicU64,
-    held_compiles: std::sync::atomic::AtomicU64,
-}
-
-impl StallSwitch {
-    fn set(&self, on: bool) {
-        *self.stalled.lock().expect("stall switch") = on;
-        self.released.notify_all();
-    }
-}
-
-impl ccm2_fabric::FrameHandler for StallSwitch {
-    fn handle(&self, frame: &[u8]) -> Vec<u8> {
-        use std::sync::atomic::Ordering;
-        let mut stalled = self.stalled.lock().expect("stall switch");
-        if *stalled {
-            self.held.fetch_add(1, Ordering::SeqCst);
-            if matches!(
-                ccm2_fabric::decode_frame(frame),
-                Some(ccm2_fabric::Message::Compile(_))
-            ) {
-                self.held_compiles.fetch_add(1, Ordering::SeqCst);
-            }
-            while *stalled {
-                stalled = self.released.wait(stalled).expect("stall switch");
-            }
-        }
-        drop(stalled);
-        self.inner.handle(frame)
-    }
-}
-
 /// The stalled-peer drill: three shards over TCP under
 /// [`ccm2_fabric::start_heartbeats`] at `heartbeat_ms`. Mid-load, the
 /// shard that owns the next request stops answering while still
@@ -2356,14 +1939,9 @@ impl ccm2_fabric::FrameHandler for StallSwitch {
 /// a standalone compile — checked here, so a regression fails the
 /// drill.
 pub fn stalled_peer_cell(seed: u64, heartbeat_ms: u64) -> StalledPeerCell {
-    use ccm2_fabric::{
-        start_heartbeats, FabricResponse, FabricRouter, FrameHandler, HealthState, HeartbeatConfig,
-        ShardNode, TcpShardServer, TcpTransport, Transport,
-    };
+    use ccm2_fabric::{HashRing, HealthState, DEFAULT_VNODES};
     use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
     use ccm2_workload::{serve_load, ServeLoadParams};
-    use std::collections::HashMap;
-    use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
     let params = ServeLoadParams {
@@ -2380,101 +1958,28 @@ pub fn stalled_peer_cell(seed: u64, heartbeat_ms: u64) -> StalledPeerCell {
         store_budget: 128 * 1024,
         ..ServeConfig::default()
     };
-    let requests: Vec<CompileRequest> = serve_load(&params)
-        .iter()
-        .map(|e| {
-            let mut req = CompileRequest::new(
-                e.client,
-                e.module.name.clone(),
-                e.module.source.clone(),
-                Arc::new(e.module.defs.clone()),
-            );
-            req.exec = ExecChoice::Sim(4);
-            req
-        })
-        .collect();
-    let mut expected = HashMap::new();
-    for req in &requests {
-        expected
-            .entry(req.fingerprint())
-            .or_insert_with(|| standalone_compile(req));
-    }
-    let expected = Arc::new(expected);
-
-    let heartbeat = HeartbeatConfig {
-        suspect_misses: 1,
-        evict_misses: 2,
-    };
+    let requests = drill::requests(&serve_load(&params), ExecChoice::Sim(4));
+    let expected = Arc::new(drill::expected(&requests));
     let period = Duration::from_millis(heartbeat_ms.max(1));
-    let transport = Arc::new(TcpTransport::new());
-    let mut switches = Vec::new();
-    let mut servers = Vec::new();
-    for id in 0..3u32 {
-        let switch = Arc::new(StallSwitch {
-            inner: Arc::new(ShardNode::start(id, config)),
-            stalled: std::sync::Mutex::new(false),
-            released: std::sync::Condvar::new(),
-            held: Default::default(),
-            held_compiles: Default::default(),
-        });
-        let server = TcpShardServer::serve(Arc::clone(&switch) as Arc<dyn FrameHandler>)
-            .expect("tcp shard server");
-        transport.register(id, server.addr());
-        switches.push(switch);
-        servers.push(server);
-    }
-    let router = Arc::new(
-        FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>).with_heartbeat(heartbeat),
-    );
-    let mut beats = start_heartbeats(Arc::clone(&router), period);
-    // Every switch is released on any exit, a failed check included,
-    // before the heartbeat thread and the servers are joined: a held
-    // frame would keep either waiting forever.
-    struct ReleaseOnDrop(Vec<Arc<StallSwitch>>);
-    impl Drop for ReleaseOnDrop {
-        fn drop(&mut self) {
-            for switch in &self.0 {
-                switch.set(false);
-            }
-        }
-    }
-    let _release = ReleaseOnDrop(switches.clone());
+    let fleet = drill::StallFleet::start(config, period);
+    let router = fleet.fabric.router();
 
     // Serves a slice on a thread of its own, retrying shed requests,
     // and checks every answer against the standalone bytes. The caller
     // gets the join back only through a bounded wait: a batch that does
     // not return is a hang, not a slow test.
     let drive = |slice: &[CompileRequest]| {
-        let (router, expected) = (Arc::clone(&router), Arc::clone(&expected));
-        let mut pending = slice.to_vec();
+        let (router, expected, slice) = (Arc::clone(router), Arc::clone(&expected), slice.to_vec());
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let mut waves = 0usize;
-            while !pending.is_empty() {
-                waves += 1;
-                assert!(waves <= 100, "stalled-peer drive must drain");
-                let batch = std::mem::take(&mut pending);
-                for (req, resp) in batch.iter().zip(router.serve_batch(&batch)) {
-                    match resp {
-                        FabricResponse::Done(o) => {
-                            assert!(o.ok, "{:?}", o.diagnostics);
-                            assert!(
-                                (o.object, o.diagnostics) == expected[&req.fingerprint()],
-                                "stalled-peer bytes diverged from standalone for {}",
-                                req.module
-                            );
-                        }
-                        FabricResponse::Retry { .. } => pending.push(req.clone()),
-                    }
-                }
-            }
+            drill::drain(&slice, Some(&expected), |b| router.serve_batch(b));
             let _ = done.send(());
         });
         finished
     };
     let wait = |finished: std::sync::mpsc::Receiver<()>, what: &str| {
         finished
-            .recv_timeout(STALL_HANG_AFTER)
+            .recv_timeout(drill::STALL_HANG_AFTER)
             .unwrap_or_else(|_| panic!("stalled-peer drill hung ({what}) or lost a request"));
     };
 
@@ -2483,29 +1988,23 @@ pub fn stalled_peer_cell(seed: u64, heartbeat_ms: u64) -> StalledPeerCell {
 
     // The owner of the next request stalls, so that request blocks
     // until the eviction cuts its connection.
-    let victim = ccm2_fabric::HashRing::new(&router.live_shards(), ccm2_fabric::DEFAULT_VNODES)
+    let victim = HashRing::new(&router.live_shards(), DEFAULT_VNODES)
         .route(requests[third].fingerprint())
         .expect("a live shard");
-    switches[victim as usize].set(true);
+    let victim_switch = &fleet.switches[victim as usize];
+    victim_switch.set(true);
     let stalled_at = Instant::now();
     let served = drive(&requests[third..two_thirds]);
-    let bound = period * (heartbeat.evict_misses + 1) + STALL_EVICT_SLACK;
-    while router.health(victim) != HealthState::Evicted {
-        assert!(
-            stalled_at.elapsed() < STALL_HANG_AFTER,
-            "stalled shard {victim} never evicted"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let evicted_in = stalled_at.elapsed();
+    let bound = period * (drill::CHAOS_HEARTBEAT.evict_misses + 1) + drill::STALL_EVICT_SLACK;
+    let evicted_in = fleet
+        .evicted_within(victim, stalled_at, drill::STALL_HANG_AFTER)
+        .unwrap_or_else(|| panic!("stalled shard {victim} never evicted"));
     assert!(
         evicted_in <= bound,
         "stalled shard {victim} evicted after {evicted_in:?}, bound {bound:?}"
     );
     wait(served, "stall phase");
-    let victim_switch = &switches[victim as usize];
-    let held_frames = victim_switch.held.load(Ordering::SeqCst);
-    let held_compiles = victim_switch.held_compiles.load(Ordering::SeqCst);
+    let (held_frames, held_compiles) = (victim_switch.held(), victim_switch.held_compiles());
     assert!(
         held_compiles > 0,
         "no compile was blocked on the stalled shard — the drill is vacuous"
@@ -2517,10 +2016,6 @@ pub fn stalled_peer_cell(seed: u64, heartbeat_ms: u64) -> StalledPeerCell {
     assert_eq!(router.health(victim), HealthState::Alive);
     wait(drive(&requests[two_thirds..]), "rejoined phase");
 
-    beats.stop();
-    for server in &mut servers {
-        server.stop();
-    }
     StalledPeerCell {
         seed,
         events: requests.len(),
@@ -2575,11 +2070,9 @@ struct SplitBrainCell {
 /// values, so the same seed always replays the same transcript.
 fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) -> SplitBrainCell {
     use ccm2_fabric::{
-        FabricClient, FabricResponse, FabricRouter, FrameHandler, HeartbeatConfig, LeaseConfig,
-        LoopbackTransport, MembershipStore, RouterRole, ShardNode, TcpShardServer, TcpTransport,
-        Transport,
+        Fabric, FabricClient, FabricRouter, LeaseConfig, MembershipStore, RouterRole,
     };
-    use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
+    use ccm2_serve::{ExecChoice, ServeConfig};
     use ccm2_workload::{serve_load, RouterDrillKind, ServeLoadParams};
     use std::collections::HashMap;
 
@@ -2598,78 +2091,8 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
         store_budget: 128 * 1024,
         ..ServeConfig::default()
     };
-    let events = serve_load(&params);
-    let mk_request = |e: &ccm2_workload::ServeEvent| CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(4),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    };
-    let mut expected: HashMap<ccm2_support::hash::Fp128, (Option<Vec<u8>>, Vec<String>)> =
-        HashMap::new();
-    for e in &events {
-        let req = mk_request(e);
-        expected
-            .entry(req.fingerprint())
-            .or_insert_with(|| standalone_compile(&req));
-    }
-
-    // Two independent conduits over the same shards: cutting router A's
-    // network must not touch router B's.
-    let nodes: Vec<Arc<ShardNode>> = (0..SHARDS)
-        .map(|id| Arc::new(ShardNode::start(id, config)))
-        .collect();
-    let mut servers: Vec<TcpShardServer> = Vec::new();
-    type Conduits = (Arc<dyn Transport>, Arc<dyn Transport>, Box<dyn Fn(bool)>);
-    let (ta, tb, cut_a): Conduits = if tcp {
-        let ta = Arc::new(TcpTransport::new());
-        let tb = Arc::new(TcpTransport::new());
-        for node in &nodes {
-            let server = TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>)
-                .expect("tcp shard server");
-            ta.register(node.id(), server.addr());
-            tb.register(node.id(), server.addr());
-            servers.push(server);
-        }
-        let knife = Arc::clone(&ta);
-        (
-            ta as Arc<dyn Transport>,
-            tb as Arc<dyn Transport>,
-            Box::new(move |on| {
-                for s in 0..SHARDS {
-                    knife.set_partitioned(s, on);
-                }
-            }),
-        )
-    } else {
-        let ta = Arc::new(LoopbackTransport::new());
-        let tb = Arc::new(LoopbackTransport::new());
-        for node in &nodes {
-            ta.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-            tb.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
-        let knife = Arc::clone(&ta);
-        (
-            ta as Arc<dyn Transport>,
-            tb as Arc<dyn Transport>,
-            Box::new(move |on| {
-                knife.set_link_faults(on.then(|| {
-                    let mut plan = ccm2_faults::FaultPlan::new();
-                    for s in 0..SHARDS {
-                        plan =
-                            plan.with_fault(format!("link:{s}#c*"), ccm2_faults::FaultKind::Panic);
-                    }
-                    Arc::new(plan)
-                }));
-            }),
-        )
-    };
+    let requests = drill::requests(&serve_load(&params), ExecChoice::Sim(4));
+    let expected = drill::expected(&requests);
 
     let dir = std::env::temp_dir().join(format!(
         "ccm2-splitbrain-{}-{seed:x}-{}-{kind:?}",
@@ -2678,26 +2101,28 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(MembershipStore::new(dir.join("mbrs")).expect("membership dir"));
-    let heartbeat = HeartbeatConfig {
-        suspect_misses: 1,
-        evict_misses: 2,
-    };
     let lease = LeaseConfig { expiry_ticks: 2 };
-    let a = Arc::new(
-        FabricRouter::new(ta)
-            .with_identity(1)
-            .with_heartbeat(heartbeat)
-            .with_lease(lease)
-            .with_membership_store(Arc::clone(&store)),
-    );
+    // Router A on the fleet's own conduit; router B on a second,
+    // independent one over the same shards: cutting A's network must
+    // not touch B's.
+    let mut fabric = Fabric::launch(SHARDS, config, tcp, None)
+        .expect("fleet")
+        .with_router(|r| {
+            r.with_identity(1)
+                .with_heartbeat(drill::CHAOS_HEARTBEAT)
+                .with_lease(lease)
+                .with_membership_store(Arc::clone(&store))
+        });
     let b = Arc::new(
-        FabricRouter::new(tb)
+        FabricRouter::new(fabric.add_conduit().expect("second conduit"))
             .with_identity(2)
             .as_standby()
-            .with_heartbeat(heartbeat)
+            .with_heartbeat(drill::CHAOS_HEARTBEAT)
             .with_lease(lease)
             .with_membership_store(Arc::clone(&store)),
     );
+    let a = Arc::clone(fabric.router());
+    let cut_a = |on: bool| (0..SHARDS).for_each(|s| fabric.cut(s, on));
     assert!(a.acquire_lease(), "uncontested initial grant");
     let client = FabricClient::new(vec![Arc::clone(&a), Arc::clone(&b)]);
 
@@ -2711,32 +2136,10 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
             b.epoch()
         )
     };
-    let drive = |slice: &[ccm2_workload::ServeEvent]| {
-        let mut pending: Vec<CompileRequest> = slice.iter().map(&mk_request).collect();
-        let mut waves = 0usize;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(
-                waves <= 1 + slice.len(),
-                "split-brain drive must drain (hang)"
-            );
-            let batch = std::mem::take(&mut pending);
-            let resubmit = batch.clone();
-            for (req, resp) in resubmit.into_iter().zip(client.serve_batch(&batch)) {
-                match resp {
-                    FabricResponse::Done(o) => {
-                        assert!(o.ok, "{:?}", o.diagnostics);
-                        let want = &expected[&req.fingerprint()];
-                        assert!(
-                            (o.object.clone(), o.diagnostics.clone()) == *want,
-                            "split-brain bytes diverged from standalone for {}",
-                            req.module
-                        );
-                    }
-                    FabricResponse::Retry { .. } => pending.push(req),
-                }
-            }
-        }
+    let drive = |lo: usize, hi: usize| {
+        drill::drain(&requests[lo..hi], Some(&expected), |b| {
+            client.serve_batch(b)
+        });
     };
 
     let kind_name = match kind {
@@ -2751,7 +2154,7 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
     ));
 
     // Phase 1 — healthy fleet: A leads, renews, serves the head.
-    drive(&events[..third]);
+    drive(0, third);
     assert!(a.heartbeat_tick().is_empty(), "healthy fleet, no evictions");
     transcript.push(format!("head served={third} {}", roles(&a, &b)));
 
@@ -2796,7 +2199,7 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
     // Phase 4 — serve the middle through the client: it rotates away
     // from the dead/cut router; in the duel, A still serves and its
     // stale replication stamp draws the EpochReject that demotes it.
-    drive(&events[third..2 * third]);
+    drive(third, 2 * third);
     assert!(b.heartbeat_tick().is_empty(), "leader B sees a live fleet");
     transcript.push(format!(
         "mid served={third} rotations={} {}",
@@ -2823,8 +2226,8 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
     }
 
     // Phase 6 — tail through the converged fleet.
-    drive(&events[2 * third..]);
-    transcript.push(format!("tail served={}", events.len() - 2 * third));
+    drive(2 * third, requests.len());
+    transcript.push(format!("tail served={}", requests.len() - 2 * third));
 
     // Invariants. Leadership epochs are disjoint across routers — no
     // epoch ever had two leaders…
@@ -2840,7 +2243,7 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
         .map(|&e| (e, a.router_id()))
         .chain(eb.iter().map(|&e| (e, b.router_id())))
         .collect();
-    for node in &nodes {
+    for node in fabric.nodes() {
         let grants = node.lease_grants();
         for w in grants.windows(2) {
             assert!(
@@ -2886,9 +2289,6 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: ccm2_workload::RouterDrillKind) 
         client_rotations: client.stats().router_rotations,
         transcript,
     };
-    for server in &mut servers {
-        server.stop();
-    }
     let _ = std::fs::remove_dir_all(&dir);
     cell
 }
@@ -3097,41 +2497,6 @@ pub fn watch_with(json_path: Option<&std::path::Path>) -> String {
 
 // ---- fault-injection survival matrix ------------------------------------
 
-/// An interner-independent rendering of one code unit, so units from
-/// different compiles (different interners, different symbol indices)
-/// can be compared byte for byte.
-fn render_unit(u: &ccm2_codegen::ir::CodeUnit, interner: &Interner) -> String {
-    use ccm2_codegen::ir::Instr;
-    let mut s = format!(
-        "{} level={} params={} frame={:?} shapes={:?}\n",
-        interner.resolve(u.name),
-        u.level,
-        u.param_count,
-        u.frame,
-        u.shapes
-    );
-    for ins in &u.code {
-        match ins {
-            Instr::PushStr(sym) => s.push_str(&format!("PushStr({})\n", interner.resolve(*sym))),
-            Instr::PushProc(sym) => s.push_str(&format!("PushProc({})\n", interner.resolve(*sym))),
-            Instr::PushGlobalAddr { module, slot } => s.push_str(&format!(
-                "PushGlobalAddr({}, {slot})\n",
-                interner.resolve(*module)
-            )),
-            Instr::Call {
-                target,
-                argc,
-                link_up,
-            } => s.push_str(&format!(
-                "Call({}, {argc}, {link_up})\n",
-                interner.resolve(*target)
-            )),
-            other => s.push_str(&format!("{other:?}\n")),
-        }
-    }
-    s
-}
-
 /// The `reproduce -- faults` experiment: a survival matrix over fault
 /// site × DKY strategy × executor. Every faulted compile must terminate
 /// (no hang, no unwinding out of the executor), surface at least one
@@ -3155,10 +2520,7 @@ fn faults_inner() -> String {
     use ccm2_faults::{FaultKind, FaultPlan};
     use std::collections::HashMap;
 
-    let m = ccm2_workload::generate(&ccm2_workload::GenParams {
-        fault_seeds: true,
-        ..ccm2_workload::GenParams::small("Mx", 0xFA)
-    });
+    let m = fault_module("Mx", 0xFA);
 
     // Each scenario: display name, the fault plan (parameterized on the
     // executor because stalls are virtual units on the simulator and
@@ -3251,30 +2613,6 @@ fn faults_inner() -> String {
         ),
     ];
 
-    let compile = |plan: Option<Arc<ccm2_faults::FaultPlan>>,
-                   deadline: Option<u64>,
-                   strategy: DkyStrategy,
-                   sim: bool| {
-        let executor = if sim {
-            Executor::Sim(SimConfig::firefly(4))
-        } else {
-            Executor::Threads(2)
-        };
-        compile_concurrent(
-            &m.source,
-            Arc::new(m.defs.clone()),
-            Arc::new(Interner::new()),
-            Options {
-                strategy,
-                executor,
-                analyze: true,
-                faults: plan,
-                task_deadline: deadline,
-                ..Options::default()
-            },
-        )
-    };
-
     let mut out = String::from(
         "Fault-injection survival matrix: site x 4 DKY strategies x {sim(4), threads(2)}\n\
          (each cell: compile terminates, >=1 error names the faulted stream,\n\
@@ -3287,25 +2625,12 @@ fn faults_inner() -> String {
     let mut baselines: HashMap<(u32, bool), HashMap<String, String>> = HashMap::new();
     for (si, &strategy) in DkyStrategy::ALL.iter().enumerate() {
         for sim in [true, false] {
-            let base = compile(None, None, strategy, sim);
+            let base = fault_compile(&m, strategy, sim, None, None, 0);
             assert!(
                 base.errors.is_empty() && base.image.is_some(),
                 "fault-free baseline must be clean"
             );
-            let units: HashMap<String, String> = base
-                .image
-                .as_ref()
-                .expect("clean baseline")
-                .units
-                .iter()
-                .map(|u| {
-                    (
-                        base.interner.resolve(u.name),
-                        render_unit(u, &base.interner),
-                    )
-                })
-                .collect();
-            baselines.insert((si as u32, sim), units);
+            baselines.insert((si as u32, sim), unit_map(&base));
         }
     }
 
@@ -3318,7 +2643,7 @@ fn faults_inner() -> String {
                 let (plan, deadline) = mk_plan(sim);
                 let plan = Arc::new(plan);
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    compile(Some(Arc::clone(&plan)), deadline, strategy, sim)
+                    fault_compile(&m, strategy, sim, Some(Arc::clone(&plan)), deadline, 0)
                 }));
                 let run = run.unwrap_or_else(|_| {
                     panic!("{label} [{strategy:?}/{}]: compile aborted", exec_name(sim))
@@ -3351,34 +2676,27 @@ fn faults_inner() -> String {
                 );
                 // Byte-equivalence of every non-faulted stream.
                 let base_units = &baselines[&(si as u32, sim)];
-                let image = run.image.as_ref().unwrap_or_else(|| {
-                    panic!("{label} [{strategy:?}/{}]: no image", exec_name(sim))
-                });
+                assert!(
+                    run.image.is_some(),
+                    "{label} [{strategy:?}/{}]: no image",
+                    exec_name(sim)
+                );
+                let units = unit_map(&run);
                 let is_touched = |name: &str| touched.iter().any(|t| name.contains(t));
-                for u in &image.units {
-                    let name = run.interner.resolve(u.name);
-                    if is_touched(&name) {
-                        continue;
-                    }
-                    let rendered = render_unit(u, &run.interner);
+                for (name, rendered) in units.iter().filter(|(n, _)| !is_touched(n)) {
                     assert_eq!(
-                        Some(&rendered),
-                        base_units.get(&name),
+                        Some(rendered),
+                        base_units.get(name),
                         "{label} [{strategy:?}/{}]: non-faulted unit `{name}` diverged",
                         exec_name(sim)
                     );
                 }
-                for name in base_units.keys() {
-                    if !is_touched(name) {
-                        assert!(
-                            image
-                                .units
-                                .iter()
-                                .any(|u| run.interner.resolve(u.name) == *name),
-                            "{label} [{strategy:?}/{}]: non-faulted unit `{name}` missing",
-                            exec_name(sim)
-                        );
-                    }
+                for name in base_units.keys().filter(|n| !is_touched(n)) {
+                    assert!(
+                        units.contains_key(name),
+                        "{label} [{strategy:?}/{}]: non-faulted unit `{name}` missing",
+                        exec_name(sim)
+                    );
                 }
                 cells += 1;
             }
@@ -3392,14 +2710,6 @@ fn faults_inner() -> String {
         "\n{total} faulted compiles: 0 hangs, 0 aborts, non-faulted streams byte-identical\n"
     ));
     out
-}
-
-fn exec_name(sim: bool) -> &'static str {
-    if sim {
-        "sim(4)"
-    } else {
-        "threads(2)"
-    }
 }
 
 /// The self-healing recovery matrix (`reproduce -- recover`): supervised
@@ -3433,36 +2743,7 @@ fn recover_inner() -> String {
     use ccm2_faults::{FaultKind, FaultPlan};
     use std::collections::HashMap;
 
-    let m = ccm2_workload::generate(&ccm2_workload::GenParams {
-        fault_seeds: true,
-        ..ccm2_workload::GenParams::small("Mx", 0xFA)
-    });
-
-    let compile = |plan: Option<Arc<FaultPlan>>,
-                   deadline: Option<u64>,
-                   strategy: DkyStrategy,
-                   sim: bool,
-                   retries: u32| {
-        let executor = if sim {
-            Executor::Sim(SimConfig::firefly(4))
-        } else {
-            Executor::Threads(2)
-        };
-        compile_concurrent(
-            &m.source,
-            Arc::new(m.defs.clone()),
-            Arc::new(Interner::new()),
-            Options {
-                strategy,
-                executor,
-                analyze: true,
-                faults: plan,
-                task_deadline: deadline,
-                max_stream_retries: retries,
-                ..Options::default()
-            },
-        )
-    };
+    let m = fault_module("Mx", 0xFA);
 
     let mut out = String::from(
         "Self-healing recovery matrix: fault x 4 DKY strategies x {sim(4), threads(2)}\n\
@@ -3474,25 +2755,12 @@ fn recover_inner() -> String {
     let mut baselines: HashMap<(u32, bool), HashMap<String, String>> = HashMap::new();
     for (si, &strategy) in DkyStrategy::ALL.iter().enumerate() {
         for sim in [true, false] {
-            let base = compile(None, None, strategy, sim, 0);
+            let base = fault_compile(&m, strategy, sim, None, None, 0);
             assert!(
                 base.errors.is_empty() && base.image.is_some(),
                 "fault-free baseline must be clean"
             );
-            let units: HashMap<String, String> = base
-                .image
-                .as_ref()
-                .expect("clean baseline")
-                .units
-                .iter()
-                .map(|u| {
-                    (
-                        base.interner.resolve(u.name),
-                        render_unit(u, &base.interner),
-                    )
-                })
-                .collect();
-            baselines.insert((si as u32, sim), units);
+            baselines.insert((si as u32, sim), unit_map(&base));
         }
     }
 
@@ -3540,7 +2808,7 @@ fn recover_inner() -> String {
             for sim in [true, false] {
                 let (plan, deadline) = mk_plan(sim);
                 let plan = Arc::new(plan);
-                let run = compile(Some(Arc::clone(&plan)), deadline, strategy, sim, 2);
+                let run = fault_compile(&m, strategy, sim, Some(Arc::clone(&plan)), deadline, 2);
                 assert!(plan.any_fired(), "{label}: the fault site never fired");
                 assert!(
                     run.errors
@@ -3559,16 +2827,13 @@ fn recover_inner() -> String {
                 // Full byte-equivalence, faulted stream included: the
                 // retried attempt converges to the fault-free output.
                 let base_units = &baselines[&(si as u32, sim)];
-                let image = run.image.as_ref().unwrap_or_else(|| {
-                    panic!("{label} [{strategy:?}/{}]: no image", exec_name(sim))
-                });
-                let units: HashMap<String, String> = image
-                    .units
-                    .iter()
-                    .map(|u| (run.interner.resolve(u.name), render_unit(u, &run.interner)))
-                    .collect();
+                assert!(
+                    run.image.is_some(),
+                    "{label} [{strategy:?}/{}]: no image",
+                    exec_name(sim)
+                );
                 assert_eq!(
-                    &units,
+                    &unit_map(&run),
                     base_units,
                     "{label} [{strategy:?}/{}]: recovered output diverged",
                     exec_name(sim)
@@ -3602,7 +2867,7 @@ fn recover_inner() -> String {
         for (si, &strategy) in DkyStrategy::ALL.iter().enumerate() {
             for sim in [true, false] {
                 let plan = Arc::new(FaultPlan::single(*pattern, FaultKind::Panic));
-                let run = compile(Some(Arc::clone(&plan)), None, strategy, sim, 2);
+                let run = fault_compile(&m, strategy, sim, Some(Arc::clone(&plan)), None, 2);
                 assert!(
                     run.errors
                         .iter()
@@ -3617,16 +2882,17 @@ fn recover_inner() -> String {
                     plan.fired()
                 );
                 let base_units = &baselines[&(si as u32, sim)];
-                let image = run.image.as_ref().unwrap_or_else(|| {
-                    panic!("{label} [{strategy:?}/{}]: no image", exec_name(sim))
-                });
-                for u in &image.units {
-                    let name = run.interner.resolve(u.name);
+                assert!(
+                    run.image.is_some(),
+                    "{label} [{strategy:?}/{}]: no image",
+                    exec_name(sim)
+                );
+                for (name, rendered) in unit_map(&run) {
                     if name.contains(touched) {
                         continue;
                     }
                     assert_eq!(
-                        Some(&render_unit(u, &run.interner)),
+                        Some(&rendered),
                         base_units.get(&name),
                         "{label} [{strategy:?}/{}]: non-faulted unit `{name}` diverged",
                         exec_name(sim)
@@ -3653,19 +2919,10 @@ fn recover_inner() -> String {
         edit_every: 6,
         interface_every: 2,
     };
-    let events = ccm2_workload::serve_load(&load);
-    let mk_request = |e: &ccm2_workload::ServeEvent| ccm2_serve::CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ccm2_serve::ExecChoice::Sim(4),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    };
+    let events = drill::requests(
+        &ccm2_workload::serve_load(&load),
+        ccm2_serve::ExecChoice::Sim(4),
+    );
     let config = ccm2_serve::ServeConfig {
         workers: 2,
         queue_capacity: 32,
@@ -3679,7 +2936,7 @@ fn recover_inner() -> String {
         let snaps = ccm2_serve::SnapshotStore::new(&dir).expect("snapshot dir");
         let svc = ccm2_serve::CompileService::start(config);
         let mut served = 0usize;
-        for r in svc.serve_batch(events[..kill_at].iter().map(mk_request).collect()) {
+        for r in svc.serve_batch(events[..kill_at].to_vec()) {
             assert!(r.outcome().is_some(), "pre-kill request lost");
             served += 1;
         }
@@ -3697,7 +2954,7 @@ fn recover_inner() -> String {
         // every unit is served from the restored store (the newest
         // entries are the last the LRU would evict).
         let replay = svc
-            .submit(mk_request(&events[kill_at - 1]))
+            .submit(events[kill_at - 1].clone())
             .ticket()
             .expect("admitted")
             .wait();
@@ -3706,7 +2963,7 @@ fn recover_inner() -> String {
             incr.spliced, incr.units,
             "kill point {kill_at}: restored store did not serve the replay"
         );
-        for r in svc.serve_batch(events[kill_at..].iter().map(mk_request).collect()) {
+        for r in svc.serve_batch(events[kill_at..].to_vec()) {
             assert!(r.outcome().is_some(), "post-restart request lost");
             served += 1;
         }
@@ -3757,10 +3014,7 @@ fn recover_inner() -> String {
 pub fn fault_sites() -> String {
     use ccm2_faults::{FaultKind, FaultPlan};
 
-    let m = ccm2_workload::generate(&ccm2_workload::GenParams {
-        fault_seeds: true,
-        ..ccm2_workload::GenParams::small("Mx", 0xFA)
-    });
+    let m = fault_module("Mx", 0xFA);
     let compile = |plan: Arc<FaultPlan>, sim: bool, retries: u32| {
         let executor = if sim {
             Executor::Sim(SimConfig::firefly(4))

@@ -36,9 +36,7 @@ use ccm2_sched::{
     run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
     SimConfig, TaskDesc, TaskKind, WaitSet,
 };
-use ccm2_sema::declare::{
-    bind_imports, declare_own_params, verify_heading, DeclareHooks, Declarer, HeadingMode,
-};
+use ccm2_sema::declare::{bind_imports, declare_own_params, DeclareHooks, Declarer, HeadingMode};
 use ccm2_sema::stats::LookupStats;
 use ccm2_sema::symtab::{DkyStrategy, DkyWaiter, ProcSig, ScopeKind, SymbolTables, TableNotifier};
 use ccm2_sema::Sema;
@@ -995,14 +993,8 @@ impl Driver {
                     )
                 });
             }
-            match self.heading_mode {
-                HeadingMode::Reprocess => {
-                    declare_own_params(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::Dual => {
-                    verify_heading(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::CopyToChild => {}
+            if self.heading_mode == HeadingMode::Reprocess {
+                declare_own_params(&sema, p.scope, &p.heading);
             }
             let hooks = DriverHooks { driver: self };
             let mut declarer = Declarer::new(&sema, p.scope, self.heading_mode, &hooks);
@@ -1082,17 +1074,9 @@ impl Driver {
             sema.tables.mark_complete(scope);
             return;
         };
-        match self.heading_mode {
-            HeadingMode::Reprocess => {
-                // §2.4 alternative 3: the child re-elaborates its heading.
-                declare_own_params(&sema, scope, streaming.heading());
-            }
-            HeadingMode::Dual => {
-                // Both flows: entries were copied in by the parent; the
-                // child cross-checks the heading through its own chain.
-                verify_heading(&sema, scope, streaming.heading());
-            }
-            HeadingMode::CopyToChild => {}
+        if self.heading_mode == HeadingMode::Reprocess {
+            // §2.4 alternative 3: the child re-elaborates its heading.
+            declare_own_params(&sema, scope, streaming.heading());
         }
         // Local declarations are analyzed as parsed (nested procedure
         // headings fire immediately); the table completes before the

@@ -63,9 +63,13 @@ pub mod shard;
 pub mod transport;
 pub mod wire;
 
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_serve::ServeConfig;
+use parking_lot::Mutex;
 
 pub use client::{ClientRetryStats, FabricClient, CLIENT_MAX_ATTEMPTS, CLIENT_MAX_SLEEP_MS};
 pub use durable::{
@@ -87,65 +91,225 @@ pub use wire::{
     NO_ROUTER, WIRE_FORMAT_VERSION, WIRE_MAGIC,
 };
 
-/// A whole loopback fleet in one value: N shards, the transport, and
-/// the router. The unit the drills and equivalence tests spin up.
+/// A whole fleet in one value: its shard nodes, the conduits that reach
+/// them, and the router. The one fleet builder: the drills, the
+/// equivalence tests and the chaos tests spin every fleet up through it
+/// — on the deterministic loopback or on real TCP sockets, with or
+/// without durable replica logs, growing a joiner or a second conduit
+/// (a second router's independent network) as the script needs.
 pub struct Fabric {
-    transport: Arc<LoopbackTransport>,
-    router: FabricRouter,
+    router: Arc<FabricRouter>,
+    /// `conduits[0]` carries the router; later ones serve extra routers.
+    conduits: Vec<Conduit>,
     nodes: Vec<Arc<ShardNode>>,
+    config: ServeConfig,
+    rlog_dir: Option<PathBuf>,
+}
+
+/// One network over the fleet's shards.
+enum Conduit {
+    /// In-process, with the set of shards whose link is cut (the link
+    /// fault plan is rebuilt from it on every change).
+    Loopback(Arc<LoopbackTransport>, Mutex<BTreeSet<u32>>),
+    /// Real sockets: the client side, and one server per shard.
+    Tcp(Arc<TcpTransport>, Vec<TcpShardServer>),
+}
+
+impl Conduit {
+    fn new(tcp: bool) -> Conduit {
+        if tcp {
+            Conduit::Tcp(Arc::new(TcpTransport::new()), Vec::new())
+        } else {
+            Conduit::Loopback(Arc::new(LoopbackTransport::new()), Mutex::default())
+        }
+    }
+
+    fn register(&mut self, id: u32, handler: Arc<dyn FrameHandler>) -> std::io::Result<()> {
+        match self {
+            Conduit::Loopback(transport, _) => transport.register(id, handler),
+            Conduit::Tcp(transport, servers) => {
+                let server = TcpShardServer::serve(handler)?;
+                transport.register(id, server.addr());
+                servers.push(server);
+            }
+        }
+        Ok(())
+    }
+
+    fn transport(&self) -> Arc<dyn Transport> {
+        match self {
+            Conduit::Loopback(transport, _) => Arc::clone(transport) as Arc<dyn Transport>,
+            Conduit::Tcp(transport, _) => Arc::clone(transport) as Arc<dyn Transport>,
+        }
+    }
 }
 
 impl Fabric {
     /// Starts `shards` fresh shards (ids `0..shards`) with identical
     /// configs on a clean loopback transport.
     pub fn start(shards: usize, config: ServeConfig) -> Fabric {
-        Fabric::start_on(
-            Arc::new(LoopbackTransport::new()),
-            (0..shards as u32)
-                .map(|id| Arc::new(ShardNode::start(id, config)))
-                .collect(),
-        )
+        Fabric::launch(shards as u32, config, false, None).expect("a loopback fleet does no I/O")
+    }
+
+    /// Starts `shards` shards (ids `0..shards`) on a fresh loopback
+    /// (`tcp = false`) or on TCP sockets, one server per shard. With
+    /// `rlog_dir`, every shard keeps durable `CCM2RLOG` replica logs in
+    /// `rlog_dir/rlog-{id}`, and a fleet launched again on the same
+    /// directory restores them (see [`Fabric::relaunch`]).
+    pub fn launch(
+        shards: u32,
+        config: ServeConfig,
+        tcp: bool,
+        rlog_dir: Option<&Path>,
+    ) -> std::io::Result<Fabric> {
+        Fabric::launch_with(shards, config, tcp, rlog_dir, &mut |node| node)
+    }
+
+    /// [`Fabric::launch`], registering `wrap(node)` as each shard's
+    /// frame handler (a drill's stall switch around the node, say).
+    pub fn launch_with(
+        shards: u32,
+        config: ServeConfig,
+        tcp: bool,
+        rlog_dir: Option<&Path>,
+        wrap: &mut dyn FnMut(Arc<ShardNode>) -> Arc<dyn FrameHandler>,
+    ) -> std::io::Result<Fabric> {
+        let mut nodes = Vec::new();
+        for id in 0..shards {
+            nodes.push(Fabric::node(id, config, rlog_dir)?);
+        }
+        Fabric::assemble(Conduit::new(tcp), nodes, config, rlog_dir, wrap)
     }
 
     /// Assembles a fleet from pre-built nodes on a caller-provided
-    /// loopback (seeded corruption, restored shards, odd ids — the
-    /// drills' entry point).
+    /// loopback (seeded corruption, odd ids). Joiners get the default
+    /// service config.
     pub fn start_on(transport: Arc<LoopbackTransport>, nodes: Vec<Arc<ShardNode>>) -> Fabric {
+        let conduit = Conduit::Loopback(transport, Mutex::default());
+        Fabric::assemble(conduit, nodes, ServeConfig::default(), None, &mut |n| n)
+            .expect("a loopback fleet does no I/O")
+    }
+
+    fn assemble(
+        mut conduit: Conduit,
+        nodes: Vec<Arc<ShardNode>>,
+        config: ServeConfig,
+        rlog_dir: Option<&Path>,
+        wrap: &mut dyn FnMut(Arc<ShardNode>) -> Arc<dyn FrameHandler>,
+    ) -> std::io::Result<Fabric> {
         for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
+            conduit.register(node.id(), wrap(Arc::clone(node)))?;
         }
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
-        Fabric {
-            transport,
-            router,
+        Ok(Fabric {
+            router: Arc::new(FabricRouter::new(conduit.transport())),
+            conduits: vec![conduit],
             nodes,
+            config,
+            rlog_dir: rlog_dir.map(Path::to_path_buf),
+        })
+    }
+
+    fn node(
+        id: u32,
+        config: ServeConfig,
+        rlog_dir: Option<&Path>,
+    ) -> std::io::Result<Arc<ShardNode>> {
+        let node = ShardNode::start(id, config);
+        Ok(Arc::new(match rlog_dir {
+            Some(dir) => {
+                node.with_durable_log(ReplicaLogStore::new(dir.join(format!("rlog-{id}")))?)?
+            }
+            None => node,
+        }))
+    }
+
+    /// Reconfigures the router (heartbeat, faults, identity, lease,
+    /// membership store). Call before sharing it.
+    pub fn with_router(mut self, configure: impl FnOnce(FabricRouter) -> FabricRouter) -> Fabric {
+        let router = Arc::try_unwrap(self.router)
+            .ok()
+            .expect("router not shared yet");
+        self.router = Arc::new(configure(router));
+        self
+    }
+
+    /// Crash-restart: drops this fleet — router, sockets, every node —
+    /// and launches shards `0..shards` again with the same config,
+    /// conduit kind and replica-log directory.
+    pub fn relaunch(self, shards: u32) -> std::io::Result<Fabric> {
+        let tcp = matches!(self.conduits[0], Conduit::Tcp(..));
+        let (config, rlog_dir) = (self.config, self.rlog_dir.clone());
+        drop(self);
+        Fabric::launch(shards, config, tcp, rlog_dir.as_deref())
+    }
+
+    /// Starts shard `id` like the others and registers it on every
+    /// conduit; the router takes it with [`FabricRouter::admit_shard`].
+    pub fn join(&mut self, id: u32) -> std::io::Result<Arc<ShardNode>> {
+        let node = Fabric::node(id, self.config, self.rlog_dir.as_deref())?;
+        for conduit in &mut self.conduits {
+            conduit.register(id, Arc::clone(&node) as Arc<dyn FrameHandler>)?;
+        }
+        self.nodes.push(Arc::clone(&node));
+        Ok(node)
+    }
+
+    /// A second conduit of the same kind over every node, independent
+    /// of the router's: cutting one network leaves the other whole.
+    pub fn add_conduit(&mut self) -> std::io::Result<Arc<dyn Transport>> {
+        let mut conduit = Conduit::new(matches!(self.conduits[0], Conduit::Tcp(..)));
+        for node in &self.nodes {
+            conduit.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>)?;
+        }
+        let transport = conduit.transport();
+        self.conduits.push(conduit);
+        Ok(transport)
+    }
+
+    /// Opens (`on`) or heals a standing partition of the router's link
+    /// to `shard`: every delivery is dropped on the loopback, the
+    /// socket is cut on TCP.
+    pub fn cut(&self, shard: u32, on: bool) {
+        match &self.conduits[0] {
+            Conduit::Loopback(transport, cut) => {
+                let mut cut = cut.lock();
+                if on {
+                    cut.insert(shard);
+                } else {
+                    cut.remove(&shard);
+                }
+                transport.set_link_faults((!cut.is_empty()).then(|| {
+                    let plan = cut.iter().fold(FaultPlan::new(), |plan, s| {
+                        plan.with_fault(format!("link:{s}#c*"), FaultKind::Panic)
+                    });
+                    Arc::new(plan)
+                }));
+            }
+            Conduit::Tcp(transport, _) => transport.set_partitioned(shard, on),
         }
     }
 
     /// The router (serve requests through this).
-    pub fn router(&self) -> &FabricRouter {
+    pub fn router(&self) -> &Arc<FabricRouter> {
         &self.router
     }
 
-    /// Arms the router with a fault plan (`shard:{id}#d{n}` sites).
-    pub fn with_faults(mut self, plan: Arc<ccm2_faults::FaultPlan>) -> Fabric {
-        self.router = self.router.with_faults(plan);
-        self
+    /// The router's conduit.
+    pub fn transport(&self) -> Arc<dyn Transport> {
+        self.conduits[0].transport()
     }
 
-    /// Overrides the router's failure-detector thresholds.
-    pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> Fabric {
-        self.router = self.router.with_heartbeat(config);
-        self
+    /// The router's loopback (corruption and link-fault counters).
+    /// Panics on a TCP fleet.
+    pub fn loopback(&self) -> &Arc<LoopbackTransport> {
+        match &self.conduits[0] {
+            Conduit::Loopback(transport, _) => transport,
+            Conduit::Tcp(..) => panic!("a TCP fleet has no loopback"),
+        }
     }
 
-    /// The loopback transport (corruption counters, manual kills).
-    pub fn transport(&self) -> &Arc<LoopbackTransport> {
-        &self.transport
-    }
-
-    /// The shard nodes, in id order (drill assertions; node `i` may be
-    /// dead — check [`FabricRouter::live_shards`]).
+    /// The shard nodes: ids `0..shards` in order, then joiners (node `i`
+    /// may be dead — check [`FabricRouter::live_shards`]).
     pub fn nodes(&self) -> &[Arc<ShardNode>] {
         &self.nodes
     }
@@ -249,7 +413,7 @@ mod tests {
             "shard:1#d*",
             ccm2_faults::FaultKind::Panic,
         ));
-        let fabric = Fabric::start(3, small_config()).with_faults(plan);
+        let fabric = Fabric::start(3, small_config()).with_router(|r| r.with_faults(plan));
         let reqs: Vec<CompileRequest> = (0..12).map(|m| request(1, &format!("Batch{m}"))).collect();
         let responses = fabric.router().serve_batch(&reqs);
         for (req, resp) in reqs.iter().zip(&responses) {
@@ -282,7 +446,7 @@ mod tests {
             }
         }
         assert!(
-            fabric.transport().corrupted() > 0,
+            fabric.loopback().corrupted() > 0,
             "corruption never fired — the test is vacuous"
         );
         assert!(
@@ -299,18 +463,15 @@ mod tests {
 
     #[test]
     fn heartbeat_detector_suspects_then_evicts_a_partitioned_shard() {
-        let fabric = Fabric::start(3, small_config()).with_heartbeat(HeartbeatConfig {
-            suspect_misses: 1,
-            evict_misses: 3,
+        let fabric = Fabric::start(3, small_config()).with_router(|r| {
+            r.with_heartbeat(HeartbeatConfig {
+                suspect_misses: 1,
+                evict_misses: 3,
+            })
         });
         // Standing partition of the link to shard 1: every delivery on
         // it is dropped. Shards 0 and 2 keep answering.
-        fabric
-            .transport()
-            .set_link_faults(Some(Arc::new(ccm2_faults::FaultPlan::single(
-                "link:1#c*",
-                ccm2_faults::FaultKind::Panic,
-            ))));
+        fabric.cut(1, true);
 
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Suspect);
@@ -331,11 +492,11 @@ mod tests {
         assert_eq!(stats.suspects, 1, "one transition into suspicion");
         assert_eq!(stats.pings, 3 + 3 + 3);
         assert_eq!(stats.pongs, 2 + 2 + 2, "shards 0 and 2 kept answering");
-        assert!(fabric.transport().link_faults_fired() >= 3);
+        assert!(fabric.loopback().link_faults_fired() >= 3);
 
         // Healing the partition does not resurrect the shard — only an
         // explicit re-admission does, through the warm-up path.
-        fabric.transport().set_link_faults(None);
+        fabric.cut(1, false);
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Evicted);
         fabric.router().admit_shard(1);
@@ -345,7 +506,7 @@ mod tests {
 
     #[test]
     fn admit_shard_warms_the_joiner_before_ring_ownership() {
-        let fabric = Fabric::start(2, small_config());
+        let mut fabric = Fabric::start(2, small_config());
         let reqs: Vec<CompileRequest> = (0..4).map(|m| request(3, &format!("Warm{m}"))).collect();
         for resp in fabric.router().serve_batch(&reqs) {
             assert!(resp.outcome().expect("served").ok);
@@ -354,10 +515,7 @@ mod tests {
             + fabric.nodes()[1].service().store().export().len();
         assert!(fleet_entries > 0, "serving warmed nobody");
 
-        let joiner = Arc::new(ShardNode::start(7, small_config()));
-        fabric
-            .transport()
-            .register(7, Arc::clone(&joiner) as Arc<dyn FrameHandler>);
+        let joiner = fabric.join(7).expect("joiner");
         fabric.router().admit_shard(7);
         assert_eq!(fabric.router().live_shards(), vec![0, 1, 7]);
         let stats = fabric.router().stats();
@@ -426,6 +584,83 @@ mod tests {
         assert!(resp.outcome().expect("served by a survivor").ok);
     }
 
+    /// A conduit that holds the second `DeltaShip` from origin 0 until a
+    /// later ship from origin 0 has been delivered, or [`Self::HOLD`]
+    /// passed: the slow link that lets batch n+1 overtake batch n.
+    struct HoldSecondShip {
+        inner: Arc<dyn Transport>,
+        /// (ships from origin 0 seen, a later one delivered).
+        state: std::sync::Mutex<(u32, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl HoldSecondShip {
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(300);
+    }
+
+    impl Transport for HoldSecondShip {
+        fn call(&self, shard: u32, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+            if !matches!(
+                decode_frame(frame),
+                Some(Message::DeltaShip { from_shard: 0, .. })
+            ) {
+                return self.inner.call(shard, frame);
+            }
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            let n = state.0;
+            self.changed.notify_all();
+            if n == 2 {
+                let wait = self.changed.wait_timeout_while(state, Self::HOLD, |s| !s.1);
+                drop(wait.unwrap());
+                return self.inner.call(shard, frame);
+            }
+            drop(state);
+            let reply = self.inner.call(shard, frame);
+            self.state.lock().unwrap().1 |= n > 2;
+            self.changed.notify_all();
+            reply
+        }
+
+        fn shards(&self) -> Vec<u32> {
+            self.inner.shards()
+        }
+    }
+
+    // Two replication epochs for one origin must reach a peer in order.
+    // The epoch for request A is held on the link while request B's
+    // epoch runs; if B's batch overtook A's, the peer's log would gap
+    // and A's batch would be dropped as already seen.
+    #[test]
+    fn one_origins_replication_epochs_reach_peers_in_order() {
+        let fabric = Fabric::start(2, small_config());
+        let link = Arc::new(HoldSecondShip {
+            inner: fabric.transport(),
+            state: std::sync::Mutex::new((0, false)),
+            changed: std::sync::Condvar::new(),
+        });
+        let router = FabricRouter::new(Arc::clone(&link) as Arc<dyn Transport>);
+        let ring = HashRing::new(&[0, 1], DEFAULT_VNODES);
+        let mut on_zero = (0..64)
+            .map(|i| request(4, &format!("Order{i}")))
+            .filter(|r| ring.route(r.fingerprint()) == Some(0));
+        let mut next = || on_zero.next().expect("modules route to shard 0");
+        let (warm, a, b) = (next(), next(), next());
+        // The warm-up ship gives the peer a non-empty log for origin 0.
+        assert!(router.serve(&warm).outcome().expect("served").ok);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| router.serve(&a));
+            let state = link.state.lock().unwrap();
+            drop(link.changed.wait_while(state, |s| s.0 < 2).unwrap());
+            assert!(router.serve(&b).outcome().expect("served").ok);
+            assert!(first.join().unwrap().outcome().expect("served").ok);
+        });
+        router.kill_shard(0);
+        let peer = fabric.nodes()[1].stats();
+        assert_eq!(peer.gapped_discards, 0, "a late batch gapped the log");
+        assert!(peer.absorbed_ops > 0, "the peer absorbed nothing");
+    }
+
     fn temp_store(tag: &str) -> Arc<MembershipStore> {
         let dir = std::env::temp_dir().join(format!(
             "ccm2-mbrs-{tag}-{}-{:?}",
@@ -438,18 +673,11 @@ mod tests {
 
     #[test]
     fn standby_promotes_on_lease_expiry_and_stale_leader_demotes() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
         let store = temp_store("promote");
-        let a = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
-            .with_identity(1)
-            .with_membership_store(Arc::clone(&store));
-        let b = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+        let fabric = Fabric::start(3, small_config())
+            .with_router(|r| r.with_identity(1).with_membership_store(Arc::clone(&store)));
+        let a = fabric.router();
+        let b = FabricRouter::new(fabric.transport())
             .with_identity(2)
             .as_standby()
             .with_lease(LeaseConfig { expiry_ticks: 2 })
@@ -487,21 +715,12 @@ mod tests {
 
     #[test]
     fn client_fails_over_to_the_standby_when_its_router_dies() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
         let store = temp_store("client");
-        let a = Arc::new(
-            FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
-                .with_identity(1)
-                .with_membership_store(Arc::clone(&store)),
-        );
+        let fabric = Fabric::start(3, small_config())
+            .with_router(|r| r.with_identity(1).with_membership_store(Arc::clone(&store)));
+        let a = Arc::clone(fabric.router());
         let b = Arc::new(
-            FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+            FabricRouter::new(fabric.transport())
                 .with_identity(2)
                 .as_standby()
                 .with_membership_store(Arc::clone(&store)),
@@ -525,11 +744,8 @@ mod tests {
 
     #[test]
     fn client_exhausts_its_budget_against_a_dead_fleet() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let router = Arc::new(FabricRouter::new(
-            Arc::clone(&transport) as Arc<dyn Transport>
-        ));
-        let client = FabricClient::new(vec![router]).with_max_attempts(2);
+        let fabric = Fabric::start(0, small_config());
+        let client = FabricClient::new(vec![Arc::clone(fabric.router())]).with_max_attempts(2);
         let resp = client.serve(&request(1, "Nobody"));
         assert!(matches!(resp, FabricResponse::Retry { after_ms } if after_ms >= 1));
         let stats = client.stats();
@@ -561,25 +777,13 @@ mod tests {
 
     #[test]
     fn fleet_over_tcp_matches_the_loopback_contract() {
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        let mut servers: Vec<TcpShardServer> = Vec::new();
-        let transport = Arc::new(TcpTransport::new());
-        for node in &nodes {
-            let server = TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>).unwrap();
-            transport.register(node.id(), server.addr());
-            servers.push(server);
-        }
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
+        let fabric = Fabric::launch(3, small_config(), true, None).expect("tcp fleet");
+        let router = fabric.router();
         let reqs: Vec<CompileRequest> = (0..6).map(|m| request(5, &format!("Tcp{m}"))).collect();
         let responses = router.serve_batch(&reqs);
         for resp in &responses {
             assert!(resp.outcome().expect("served over sockets").ok);
         }
         assert!(router.stats().ships > 0, "replication runs over TCP too");
-        for server in &mut servers {
-            server.stop();
-        }
     }
 }

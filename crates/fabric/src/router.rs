@@ -360,9 +360,13 @@ pub struct FabricRouter {
     lease: LeaseConfig,
     membership: Option<Arc<MembershipStore>>,
     down: AtomicBool,
-    /// Read deadline for each `Ping`, in µs (0: none). [`start_heartbeats`]
-    /// sets it to one period, so a stalled peer counts as a miss.
+    /// Read deadline for each `Ping` and lease renewal, in µs (0: none).
+    /// [`start_heartbeats`] sets it to one period, so a stalled peer
+    /// counts as a miss instead of wedging the detector.
     probe_deadline_us: AtomicU64,
+    /// One lock per origin shard, held from its `Sync` through the
+    /// fan-out: epochs of one origin reach every peer in order.
+    replicating: Mutex<HashMap<u32, Arc<Mutex<()>>>>,
 }
 
 impl FabricRouter {
@@ -391,6 +395,7 @@ impl FabricRouter {
             membership: None,
             down: AtomicBool::new(false),
             probe_deadline_us: AtomicU64::new(0),
+            replicating: Mutex::new(HashMap::new()),
         }
     }
 
@@ -647,13 +652,14 @@ impl FabricRouter {
         }
     }
 
-    /// Sends one heartbeat probe, under the probe deadline if one is set.
-    fn probe(&self, shard: u32, ping: &[u8]) -> std::io::Result<Vec<u8>> {
+    /// Sends one heartbeat frame (a ping or a lease renewal), under the
+    /// probe deadline if one is set.
+    fn probe(&self, shard: u32, frame: &[u8]) -> std::io::Result<Vec<u8>> {
         match self.probe_deadline_us.load(Ordering::Relaxed) {
-            0 => self.transport.call(shard, ping),
+            0 => self.transport.call(shard, frame),
             us => self
                 .transport
-                .call_within(shard, ping, std::time::Duration::from_micros(us)),
+                .call_within(shard, frame, std::time::Duration::from_micros(us)),
         }
     }
 
@@ -732,7 +738,7 @@ impl FabricRouter {
             epoch: self.epoch.load(Ordering::Relaxed),
         });
         for &shard in &answered {
-            match self.transport.call(shard, &renew).map(|b| decode_frame(&b)) {
+            match self.probe(shard, &renew).map(|b| decode_frame(&b)) {
                 Ok(Some(Message::Ack)) => self.stats.lock().lease_renews += 1,
                 Ok(Some(Message::EpochReject { epoch: seen, .. })) => {
                     self.note_epoch(seen);
@@ -990,7 +996,14 @@ impl FabricRouter {
     /// holding a newer lease answers `EpochReject`, which demotes this
     /// router on the spot (replication is how a partitioned dueling
     /// leader usually learns it lost).
+    ///
+    /// Concurrent requests finish concurrently, so two epochs of one
+    /// origin can overlap. They run one at a time: otherwise a peer can
+    /// receive batch n+1 before batch n, mark its log gapped, and drop
+    /// batch n as already seen.
     fn replication_epoch(&self, shard: u32, extra_peer: Option<u32>) {
+        let origin = Arc::clone(self.replicating.lock().entry(shard).or_default());
+        let _in_order = origin.lock();
         let sync = encode_frame(&Message::Sync);
         let Ok(bytes) = self.transport.call(shard, &sync) else {
             return;

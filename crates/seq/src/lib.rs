@@ -194,14 +194,8 @@ pub fn compile_full(
     let mut queue = pending;
     while let Some(p) = queue.pop() {
         if let ProcBody::Local(local) = &p.body {
-            match heading_mode {
-                HeadingMode::Reprocess => {
-                    ccm2_sema::declare::declare_own_params(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::Dual => {
-                    ccm2_sema::declare::verify_heading(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::CopyToChild => {}
+            if heading_mode == HeadingMode::Reprocess {
+                ccm2_sema::declare::declare_own_params(&sema, p.scope, &p.heading);
             }
             let nested = declare_decls(&sema, p.scope, &local.decls, heading_mode, &hooks);
             sema.tables.mark_complete(p.scope);

@@ -12,27 +12,13 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ccm2_fabric::{
-    Fabric, FabricRouter, FrameHandler, LeaseConfig, LoopbackTransport, MembershipStore,
-    RouterRole, ShardNode, Transport,
-};
-use ccm2_sema::symtab::DkyStrategy;
-use ccm2_serve::{CompileRequest, CompileService, ExecChoice, Response, ServeConfig};
-use ccm2_workload::{serve_load, shard_kill_schedule, ServeEvent, ServeLoadParams};
+use ccm2_bench::drill::{self, drain, serve_standalone, Observed};
+use ccm2_fabric::{Fabric, FabricRouter, LeaseConfig, MembershipStore, RouterRole};
+use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
+use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
-fn request(e: &ServeEvent) -> CompileRequest {
-    CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(2),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    }
+fn requests(params: &ServeLoadParams) -> Vec<CompileRequest> {
+    drill::requests(&serve_load(params), ExecChoice::Sim(2))
 }
 
 fn config() -> ServeConfig {
@@ -44,73 +30,24 @@ fn config() -> ServeConfig {
     }
 }
 
-/// What a client can observe of one served event.
-type Observed = (bool, Option<Vec<u8>>, Vec<String>);
-
-/// Serves every event on one standalone service (the reference),
-/// driving the documented back-off protocol until all are done.
-fn serve_standalone(events: &[ServeEvent]) -> Vec<Observed> {
-    let svc = CompileService::start(config());
-    let mut out: Vec<Option<Observed>> = vec![None; events.len()];
-    let mut pending: Vec<usize> = (0..events.len()).collect();
-    let mut waves = 0;
-    while !pending.is_empty() {
-        waves += 1;
-        assert!(waves <= 100, "standalone retry protocol failed to drain");
-        let batch: Vec<CompileRequest> = pending.iter().map(|&i| request(&events[i])).collect();
-        let indexes = std::mem::take(&mut pending);
-        for (i, resp) in indexes.into_iter().zip(svc.serve_batch(batch)) {
-            match resp {
-                Response::Done(o) => {
-                    out[i] = Some((o.ok, o.object.clone(), o.diagnostics.clone()));
-                }
-                Response::Retry => pending.push(i),
-            }
-        }
-    }
-    out.into_iter().map(|o| o.expect("served")).collect()
-}
-
-/// Serves every event on an N-shard loopback fabric, optionally
-/// killing one shard after `at` events have been served.
-fn serve_fabric(events: &[ServeEvent], shards: usize, kill: Option<(usize, u32)>) -> Vec<Observed> {
+/// Serves every request on an N-shard loopback fabric, optionally
+/// killing one shard after `at` requests have been served.
+fn serve_fabric(
+    requests: &[CompileRequest],
+    shards: usize,
+    kill: Option<(usize, u32)>,
+) -> Vec<Observed> {
     let fabric = Fabric::start(shards, config());
-    let mut out: Vec<Option<Observed>> = vec![None; events.len()];
-    let phases: Vec<(usize, usize)> = match kill {
-        Some((at, _)) if at < events.len() => vec![(0, at), (at, events.len())],
-        _ => vec![(0, events.len())],
-    };
-    for (phase_idx, &(lo, hi)) in phases.iter().enumerate() {
-        if phase_idx == 1 {
-            let (_, victim) = kill.expect("second phase implies a kill");
-            fabric.router().kill_shard(victim);
+    let serve = |slice: &[CompileRequest]| drain(slice, None, |b| fabric.router().serve_batch(b)).0;
+    match kill {
+        Some((at, victim)) if at < requests.len() => {
+            let mut out = serve(&requests[..at]);
+            drill::kill(&fabric, victim);
+            out.extend(serve(&requests[at..]));
+            out
         }
-        let mut pending: Vec<usize> = (lo..hi).collect();
-        let mut waves = 0;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 100, "fabric retry protocol failed to drain");
-            let batch: Vec<CompileRequest> = pending.iter().map(|&i| request(&events[i])).collect();
-            let indexes = std::mem::take(&mut pending);
-            for (i, resp) in indexes.into_iter().zip(fabric.router().serve_batch(&batch)) {
-                match resp {
-                    ccm2_fabric::FabricResponse::Done(o) => {
-                        out[i] = Some((o.ok, o.object.clone(), o.diagnostics.clone()));
-                    }
-                    ccm2_fabric::FabricResponse::Retry { .. } => pending.push(i),
-                }
-            }
-        }
+        _ => serve(requests),
     }
-    if let Some((_, victim)) = kill {
-        let live = fabric.router().live_shards();
-        assert!(
-            !live.contains(&victim),
-            "killed shard {victim} still live: {live:?}"
-        );
-        assert_eq!(live.len(), shards - 1, "exactly one shard died");
-    }
-    out.into_iter().map(|o| o.expect("served")).collect()
 }
 
 /// After the eviction lease moves to a new epoch, every
@@ -121,24 +58,17 @@ fn serve_fabric(events: &[ServeEvent], shards: usize, kill: Option<(usize, u32)>
 /// epoch.
 #[test]
 fn stale_router_control_refused_after_lease_moves() {
-    let transport = Arc::new(LoopbackTransport::new());
-    let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-        .map(|id| Arc::new(ShardNode::start(id, config())))
-        .collect();
-    for node in &nodes {
-        transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-    }
     let dir = std::env::temp_dir().join(format!("ccm2-stale-router-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(MembershipStore::new(&dir).expect("membership store opens"));
-    let a = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
-        .with_identity(1)
-        .with_membership_store(Arc::clone(&store));
-    let b = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+    let mut fabric = Fabric::start(3, config())
+        .with_router(|r| r.with_identity(1).with_membership_store(Arc::clone(&store)));
+    let b = FabricRouter::new(fabric.transport())
         .with_identity(2)
         .as_standby()
         .with_lease(LeaseConfig { expiry_ticks: 2 })
         .with_membership_store(Arc::clone(&store));
+    let a = Arc::clone(fabric.router());
 
     assert!(a.acquire_lease(), "uncontested first grant");
     assert_eq!(a.epoch(), 1);
@@ -152,8 +82,7 @@ fn stale_router_control_refused_after_lease_moves() {
     // The deposed leader tries a membership change: a warm join of a
     // brand-new shard. Its epoch-1 stamp draws EpochReject on the
     // lease barrier, the join is refused, and A stands down.
-    let joiner = Arc::new(ShardNode::start(3, config()));
-    transport.register(joiner.id(), Arc::clone(&joiner) as Arc<dyn FrameHandler>);
+    fabric.join(3).expect("joiner");
     assert!(!a.admit_shard(3), "stale-epoch admit must be refused");
     assert_eq!(
         a.role(),
@@ -172,7 +101,7 @@ fn stale_router_control_refused_after_lease_moves() {
 
     // Shard-side ledger: epochs granted strictly increase, one holder
     // per epoch, and every original shard agrees on the live lease.
-    for node in &nodes {
+    for node in &fabric.nodes()[..3] {
         assert_eq!(node.lease_grants(), vec![(1, 1), (2, 2)]);
         let lease = node.lease();
         assert_eq!((lease.epoch, lease.holder), (2, 2));
@@ -202,8 +131,8 @@ proptest! {
             edit_every,
             interface_every: 2,
         };
-        let load = serve_load(&params);
-        let reference = serve_standalone(&load);
+        let load = requests(&params);
+        let reference = serve_standalone(&load, config());
         let fleet = serve_fabric(&load, shards, None);
         for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
             prop_assert!(r.0 && f.0, "event {i} failed somewhere");
@@ -228,11 +157,11 @@ proptest! {
             edit_every: 4,
             interface_every: 3,
         };
-        let load = serve_load(&params);
+        let load = requests(&params);
         let schedule = shard_kill_schedule(&params, shards as u32, 1);
         prop_assert_eq!(schedule.len(), 1);
         let (at, victim) = schedule[0];
-        let reference = serve_standalone(&load);
+        let reference = serve_standalone(&load, config());
         let fleet = serve_fabric(&load, shards, Some((at, victim)));
         for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
             prop_assert!(r.0 && f.0, "event {i} failed somewhere");

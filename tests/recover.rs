@@ -11,88 +11,13 @@
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, CompileError, Executor, Options};
-use ccm2_codegen::ir::{CodeUnit, Instr};
+use ccm2_bench::drill::{fault_compile, fault_module, unit_map};
 use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_sched::SimConfig;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_support::diag::Severity;
 use ccm2_support::Interner;
-use ccm2_workload::{generate, GenParams, GeneratedModule};
-
-fn module() -> GeneratedModule {
-    generate(&GenParams {
-        fault_seeds: true,
-        ..GenParams::small("Rx", 0xF1)
-    })
-}
-
-fn render_unit(u: &CodeUnit, interner: &Interner) -> String {
-    let mut s = format!(
-        "{} level={} params={} frame={:?} shapes={:?}\n",
-        interner.resolve(u.name),
-        u.level,
-        u.param_count,
-        u.frame,
-        u.shapes
-    );
-    for ins in &u.code {
-        match ins {
-            Instr::PushStr(sym) => s.push_str(&format!("PushStr({})\n", interner.resolve(*sym))),
-            Instr::PushProc(sym) => s.push_str(&format!("PushProc({})\n", interner.resolve(*sym))),
-            Instr::PushGlobalAddr { module, slot } => s.push_str(&format!(
-                "PushGlobalAddr({}, {slot})\n",
-                interner.resolve(*module)
-            )),
-            Instr::Call {
-                target,
-                argc,
-                link_up,
-            } => s.push_str(&format!(
-                "Call({}, {argc}, {link_up})\n",
-                interner.resolve(*target)
-            )),
-            other => s.push_str(&format!("{other:?}\n")),
-        }
-    }
-    s
-}
-
-fn compile(
-    m: &GeneratedModule,
-    strategy: DkyStrategy,
-    sim: bool,
-    faults: Option<Arc<FaultPlan>>,
-    retries: u32,
-) -> ccm2::ConcurrentOutput {
-    let executor = if sim {
-        Executor::Sim(SimConfig::firefly(4))
-    } else {
-        Executor::Threads(2)
-    };
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            strategy,
-            executor,
-            analyze: true,
-            faults,
-            max_stream_retries: retries,
-            ..Options::default()
-        },
-    )
-}
-
-fn unit_map(out: &ccm2::ConcurrentOutput) -> std::collections::HashMap<String, String> {
-    out.image
-        .as_ref()
-        .expect("image")
-        .units
-        .iter()
-        .map(|u| (out.interner.resolve(u.name), render_unit(u, &out.interner)))
-        .collect()
-}
+use ccm2_workload::GeneratedModule;
 
 /// Transient faults × DKY strategies × both executors: with a retry
 /// budget, a recovered run is byte-identical to the fault-free one —
@@ -100,7 +25,7 @@ fn unit_map(out: &ccm2::ConcurrentOutput) -> std::collections::HashMap<String, S
 /// still counts as an `is_ok()` compile.
 #[test]
 fn transient_faults_recover_byte_identical_across_strategies_and_executors() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     let sites = [
         "task:procparse(FaultShort)",
         "task:codegen(*FaultLong)",
@@ -108,12 +33,12 @@ fn transient_faults_recover_byte_identical_across_strategies_and_executors() {
     ];
     for strategy in [DkyStrategy::Skeptical, DkyStrategy::Optimistic] {
         for sim in [true, false] {
-            let baseline = compile(&m, strategy, sim, None, 0);
+            let baseline = fault_compile(&m, strategy, sim, None, None, 0);
             assert!(baseline.errors.is_empty(), "{:?}", baseline.errors);
             let base_units = unit_map(&baseline);
             for site in sites {
                 let plan = Arc::new(FaultPlan::single(site, FaultKind::Panic));
-                let run = compile(&m, strategy, sim, Some(Arc::clone(&plan)), 2);
+                let run = fault_compile(&m, strategy, sim, Some(Arc::clone(&plan)), None, 2);
                 assert!(plan.any_fired(), "{site}: fault never fired");
                 assert!(
                     !run.errors.is_empty()
@@ -143,12 +68,12 @@ fn transient_faults_recover_byte_identical_across_strategies_and_executors() {
 /// names the task and the number of faulted attempts.
 #[test]
 fn recovery_is_reported_as_a_note_naming_task_and_attempts() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     let plan = Arc::new(FaultPlan::single(
         "task:procparse(FaultShort)",
         FaultKind::Panic,
     ));
-    let run = compile(&m, DkyStrategy::Skeptical, true, Some(plan), 3);
+    let run = fault_compile(&m, DkyStrategy::Skeptical, true, Some(plan), None, 3);
     let note = run
         .diagnostics
         .iter()
@@ -172,15 +97,22 @@ fn recovery_is_reported_as_a_note_naming_task_and_attempts() {
 /// on both executors; non-faulted streams stay byte-identical.
 #[test]
 fn persistent_faults_exhaust_retries_and_degrade() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     for sim in [true, false] {
-        let baseline = compile(&m, DkyStrategy::Skeptical, sim, None, 0);
+        let baseline = fault_compile(&m, DkyStrategy::Skeptical, sim, None, None, 0);
         let base_units = unit_map(&baseline);
         let plan = Arc::new(FaultPlan::single(
             "task:procparse(FaultShort)*",
             FaultKind::Panic,
         ));
-        let run = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)), 2);
+        let run = fault_compile(
+            &m,
+            DkyStrategy::Skeptical,
+            sim,
+            Some(Arc::clone(&plan)),
+            None,
+            2,
+        );
         assert!(
             run.errors.iter().any(|e| matches!(
                 e,
@@ -212,13 +144,20 @@ fn persistent_faults_exhaust_retries_and_degrade() {
 /// retry site is ever queried, and no recovery is reported.
 #[test]
 fn zero_retries_preserves_historical_degradation() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     for sim in [true, false] {
         let plan = Arc::new(
             FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic)
                 .with_probe_recording(),
         );
-        let run = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)), 0);
+        let run = fault_compile(
+            &m,
+            DkyStrategy::Skeptical,
+            sim,
+            Some(Arc::clone(&plan)),
+            None,
+            0,
+        );
         assert!(run
             .errors
             .iter()
@@ -240,9 +179,9 @@ fn zero_retries_preserves_historical_degradation() {
 /// reproduces).
 #[test]
 fn recovered_runs_are_deterministic_on_the_simulator() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     let run = |_: u32| {
-        compile(
+        fault_compile(
             &m,
             DkyStrategy::Skeptical,
             true,
@@ -250,6 +189,7 @@ fn recovered_runs_are_deterministic_on_the_simulator() {
                 "task:codegen(*FaultLong)",
                 FaultKind::Panic,
             ))),
+            None,
             2,
         )
     };
@@ -264,7 +204,8 @@ fn recovered_runs_are_deterministic_on_the_simulator() {
     assert_eq!(a.report.virtual_time, b.report.virtual_time);
 }
 
-/// Builds options like [`compile`] but with per-task retry budgets.
+/// Compiles like [`fault_compile`] (Skeptical, no deadline), with
+/// per-task retry budgets.
 fn compile_budgeted(
     m: &GeneratedModule,
     sim: bool,
@@ -299,7 +240,7 @@ fn compile_budgeted(
 /// rest of the compile still runs under the global budget.
 #[test]
 fn per_task_budget_zero_overrides_global_retries() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     for sim in [true, false] {
         let plan = Arc::new(
             FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic)
@@ -336,9 +277,9 @@ fn per_task_budget_zero_overrides_global_retries() {
 /// output, and a budget naming a nonexistent task changes nothing.
 #[test]
 fn per_task_budget_enables_retries_with_global_zero() {
-    let m = module();
+    let m = fault_module("Rx", 0xF1);
     for sim in [true, false] {
-        let baseline = compile(&m, DkyStrategy::Skeptical, sim, None, 0);
+        let baseline = fault_compile(&m, DkyStrategy::Skeptical, sim, None, None, 0);
         let base_units = unit_map(&baseline);
 
         let plan = Arc::new(FaultPlan::single(
